@@ -52,13 +52,22 @@ def _prepared(args):
     return cfg
 
 
-def _cmd_simulate(args):
+def _measured_channels(args):
+    """Scenario, sample temperature and noisy channels for simulate/estimate."""
     cfg = _prepared(args)
-    t_sample = args.temperature if args.temperature else cfg.program.t_start
+    t_sample = (cfg.program.t_start if args.temperature is None
+                else args.temperature)
+    if not t_sample > 0:  # also rejects nan
+        raise ConfigError(f"--temperature must be positive (got {t_sample!r} K)")
     channels, ref_amp = simulate_clean_channels(
         cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
         cfg.ambient.ambient(t_sample))
     channels = apply_noise(channels, NoiseModel(cfg.snr_db, cfg.seed), ref_amp)
+    return cfg, t_sample, channels
+
+
+def _cmd_simulate(args):
+    _, _, channels = _measured_channels(args)
     t = channels.diff_background.times
     lines = ["t_s,diff_background_v,diff_sample_v,ref_a_v"]
     for i in range(t.size):
@@ -71,13 +80,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    cfg = _prepared(args)
-    t_sample = args.temperature if args.temperature else cfg.program.t_start
+    cfg, t_sample, channels = _measured_channels(args)
     cal = self_calibrate(cfg)
-    channels, ref_amp = simulate_clean_channels(
-        cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
-        cfg.ambient.ambient(t_sample))
-    channels = apply_noise(channels, NoiseModel(cfg.snr_db, cfg.seed), ref_amp)
     est = estimate_temperature(channels, cfg.plan, cfg.amplifier, cal,
                                cfg.mode, phi_o=cfg.phi_o,
                                ref_frequency=cfg.ref_frequency(),

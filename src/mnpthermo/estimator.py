@@ -44,9 +44,9 @@ def wrap_phase(phi):
 
 
 def _bin_projection(ts: TimeSeries, f):
-    t = ts.times
-    basis = np.exp(-2j * np.pi * f * t)
-    return 2.0 * np.dot(ts.samples, basis) / ts.samples.size
+    """Complex amplitude of the exact-bin line at f, referenced to t = 0."""
+    k = int(round(f * ts.samples.size / ts.sample_rate))
+    return complex(ts.spectrum[k]) * cmath.exp(-2j * math.pi * f * ts.t0)
 
 
 def extract_phasor(ts: TimeSeries, f) -> Phasor:
@@ -70,8 +70,7 @@ def extract_phasor(ts: TimeSeries, f) -> Phasor:
 
 
 def _channel_peak(ts: TimeSeries):
-    spectrum = np.abs(np.fft.rfft(ts.samples))
-    return 2.0 * spectrum[1:].max() / ts.samples.size if spectrum.size > 1 else 0.0
+    return float(np.abs(ts.spectrum[1:]).max()) if ts.spectrum.size > 1 else 0.0
 
 
 def sample_phase(ch: MeasurementChannels, amp: AmplifierModel, f, phi_o=0.0,
@@ -208,7 +207,7 @@ def _line_diagnostics(ch: MeasurementChannels, frequencies):
     """Per-line difference amplitudes plus a crude off-bin noise-floor SNR."""
     diag = {}
     n = ch.diff_sample.samples.size
-    spectrum = np.abs(np.fft.rfft(ch.diff_sample.samples)) * 2.0 / n
+    spectrum = ch.diff_sample.spectrum
     w = int(round(ch.diff_sample.duration * ch.f_base))
     for f in frequencies:
         z = (_bin_projection(ch.diff_sample, f)
@@ -216,7 +215,7 @@ def _line_diagnostics(ch: MeasurementChannels, frequencies):
         amp = abs(z)
         k = int(round(f * n / ch.diff_sample.sample_rate))
         probe = [k + j * w for j in (-9, -7, 7, 9) if 0 < k + j * w < spectrum.size]
-        floor = float(np.median(spectrum[probe])) if probe else 0.0
+        floor = float(np.median(np.abs(spectrum[probe]))) if probe else 0.0
         diag[f] = {"amplitude": amp,
                    "snr_db": (20.0 * math.log10(amp / floor)
                               if floor > 0.0 and amp > 0.0 else math.inf)}

@@ -3,9 +3,10 @@
 Models two mismatched pick-up coils with temperature-dependent impedance,
 a differential amplifier with tabulated gain/phase, direct excitation
 feedthrough, and seeded additive white Gaussian noise. Channel synthesis is
-done line-by-line in the frequency domain: every spectral line is a
-(frequency, amplitude, phase) triple pushed through the coil and amplifier
-transfer functions, then summed into a sampled waveform.
+done in the frequency domain: every spectral line is a (frequency,
+amplitude, phase) triple pushed through the coil and amplifier transfer
+functions, then placed on its DFT bin; one irfft turns a channel's line
+set into its sampled waveform.
 
 Phase bookkeeping follows the voltage-signal convention of the detection
 equations: a line whose magnetization lags by `lag` appears in the coil
@@ -24,7 +25,7 @@ import numpy as np
 from .constants import MU_0
 from .errors import ConfigError
 from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid, TimeSeries,
-                            fourier_coefficients)
+                            fourier_coefficients, synthesize_lines)
 from .physics import (FieldCorrectionModel, ParticleSpec, debye_response,
                       tau_brownian, tau_effective, tau_field_corrected, tau_neel,
                       xi_parameter)
@@ -172,8 +173,7 @@ def add_noise(ts: TimeSeries, noise: NoiseModel, reference_amplitude=None,
     if math.isinf(noise.snr_db):
         return ts
     if reference_amplitude is None:
-        spectrum = np.fft.rfft(ts.samples)
-        reference_amplitude = 2.0 * np.abs(spectrum[1:]).max() / ts.samples.size
+        reference_amplitude = np.abs(ts.spectrum[1:]).max()
     sigma = noise.sigma(reference_amplitude)
     if rng is None:
         rng = np.random.default_rng(noise.seed)
@@ -238,11 +238,8 @@ class MeasurementChannels:
 
 def _synthesize(lines, grid: SamplingGrid, f_base, units):
     """Sum cosine lines (frequency, amplitude, phase) into a waveform."""
-    t = grid.times(f_base)
-    out = np.zeros_like(t)
-    for f, amp, ph in lines:
-        if amp != 0.0:
-            out += amp * np.cos(2.0 * np.pi * f * t + ph)
+    f, amp, ph = np.array(lines, dtype=float).reshape(-1, 3).T
+    out = synthesize_lines(f, amp * np.exp(1j * ph), grid, f_base)
     return TimeSeries(grid.sample_rate, out, t0=0.0, units=units)
 
 
@@ -377,7 +374,6 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
     """
     grid = chain.acquisition.grid()
     f_base = fld.f_base
-    grid.n_samples(f_base)  # validates rate commensurability
 
     tau = relaxation_time(fld, p, t_sample, chain.field_correction)
     harmonics = _cached_harmonics(fld, p, float(t_sample))
@@ -397,10 +393,8 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
                                           chain.amplifier)
 
     diff_background = _synthesize(background_lines, grid, f_base, "V")
-    sample_wave = _synthesize(sample_amplified, grid, f_base, "V")
-    diff_sample = TimeSeries(grid.sample_rate,
-                             diff_background.samples + sample_wave.samples,
-                             t0=0.0, units="V")
+    diff_sample = _synthesize(background_lines + sample_amplified, grid,
+                              f_base, "V")
     ref_a = _synthesize(ref_lines, grid, f_base, "V")
 
     channels = MeasurementChannels(diff_background, diff_sample, ref_a,

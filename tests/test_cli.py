@@ -48,6 +48,20 @@ class TestEstimate:
         assert "category=config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("temperature", ["0", "-5", "nan"])
+def test_non_positive_temperature_is_config_error(scenario_file, capsys,
+                                                  command, temperature):
+    # 0 used to be read as "not given" and fell back to t_start
+    code = main([command, "--config", scenario_file,
+                 "--temperature", temperature])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "category=config" in captured.err
+    assert "--temperature" in captured.err
+    assert captured.out == ""
+
+
 class TestSimulate:
     def test_channel_csv(self, scenario_file, capsys):
         assert main(["simulate", "--config", scenario_file,

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
-from mnpthermo import (FieldConfig, ParticleSpec, SamplingGrid, TimeSeries,
-                       equilibrium_magnetization, fourier_coefficients,
-                       langevin, magnetization_spectrum, ode_magnetization,
-                       spectral_magnetization, tau_brownian, xi_parameter)
+from mnpthermo import (FieldConfig, ParticleSpec, QuadratureError,
+                       SamplingGrid, TimeSeries, equilibrium_magnetization,
+                       fourier_coefficients, langevin, magnetization_spectrum,
+                       ode_magnetization, spectral_magnetization, tau_brownian,
+                       xi_parameter)
+from mnpthermo import magnetization
 from mnpthermo.magnetization import (default_n_max, relax_toward,
                                      transient_periods)
 
@@ -109,6 +113,44 @@ class TestFourierCoefficients:
         assert h.amplitude_at(15000) == pytest.approx(a3, rel=1e-9)
         assert h.amplitude_at(5000) / h.amplitude_at(15000) == \
             pytest.approx(a1 / a3, rel=1e-9)
+
+    def test_against_adaptive_cosine_quadrature(self, particle,
+                                                operating_field):
+        # independent oracle: QUADPACK's cosine-weighted adaptive rule on a
+        # scalar Langevin M0; M0 is even and T-periodic, so
+        # a_n = (4/T) * integral over [0, T/2] of M0(t) cos(n w t)
+        fld = operating_field
+        h = fourier_coefficients(fld, particle, 300.0)
+        peak = np.max(np.abs(h.coefficients))
+        period = 1.0 / fld.f_base
+        scale = particle.m_s / (K_B * 300.0)
+
+        def m0(t):
+            xi = scale * (fld.b_high * math.cos(2 * math.pi * fld.f_high * t)
+                          + fld.b_low * math.cos(2 * math.pi * fld.f_low * t))
+            if abs(xi) < 1e-2:
+                lang = xi / 3 - xi ** 3 / 45 + 2 * xi ** 5 / 945
+            else:
+                lang = 1 / math.tanh(xi) - 1 / xi
+            return particle.n_conc * particle.m_s * lang
+
+        edges = np.linspace(0.0, 0.5 * period, 51)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            for f in (6000.0, 9140.0, 2860.0, 3 * 1570.0):
+                half = sum(quad(m0, a, b, weight="cos", wvar=2 * math.pi * f,
+                                epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                           for a, b in zip(edges[:-1], edges[1:]))
+                assert abs(h.amplitude_at(f) - 4.0 / period * half) \
+                    <= 1e-10 * peak
+
+    def test_quadrature_error_when_doublings_run_out(self, particle,
+                                                     operating_field,
+                                                     monkeypatch):
+        # one pass leaves nothing to compare against: never converged
+        monkeypatch.setattr(magnetization, "_MAX_QUADRATURE_DOUBLINGS", 1)
+        with pytest.raises(QuadratureError):
+            fourier_coefficients(operating_field, particle, 300.0)
 
     def test_concentration_scaling(self, particle, operating_field):
         h1 = fourier_coefficients(operating_field, particle, 300.0)
@@ -220,6 +262,24 @@ class TestCrossOracle:
         rms = np.sqrt(np.mean((spec.samples - ode.samples) ** 2))
         rms /= np.sqrt(np.mean(ode.samples ** 2))
         assert rms < 1e-4
+
+
+class TestTimeSeries:
+    def test_samples_read_only_caller_array_untouched(self):
+        x = np.arange(8.0)
+        ts = TimeSeries(8.0, x)
+        with pytest.raises(ValueError):
+            ts.samples[0] = 1.0
+        x[0] = 5.0  # the caller's array stays writable
+        assert x.flags.writeable
+
+    def test_spectrum_is_scaled_rfft(self):
+        x = np.random.default_rng(3).standard_normal(1000)
+        ts = TimeSeries(1000.0, x)
+        np.testing.assert_allclose(ts.spectrum, np.fft.rfft(x) * 2.0 / 1000,
+                                   rtol=1e-14, atol=1e-15)
+        assert ts.spectrum is ts.spectrum  # computed once
+        assert not ts.spectrum.flags.writeable
 
 
 class TestMagnetizationSpectrum:

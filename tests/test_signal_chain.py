@@ -10,6 +10,8 @@ from mnpthermo import (AcquisitionConfig, AmplifierModel, CoilParams,
                        simulate_channels, simulate_clean_channels,
                        tau_brownian)
 from mnpthermo.errors import ConfigError
+from mnpthermo.magnetization import SamplingGrid
+from mnpthermo.signal_chain import _synthesize
 
 
 def make_chain(coil_a, coil_b, noise=None, phi_o=0.0, phase_model="debye",
@@ -119,6 +121,34 @@ class TestAddNoise:
         # (empty arrays are rejected by TimeSeries itself)
         with pytest.raises(ValueError):
             TimeSeries(1000.0, [])
+
+
+class TestSynthesize:
+    def test_matches_cosine_sum(self):
+        # one irfft of bin-placed phasors against the explicit line sum
+        rng = np.random.default_rng(11)
+        grid = SamplingGrid(500000.0, 1)
+        freqs = 10.0 * rng.choice(np.arange(1, 2000), 60, replace=False)
+        lines = list(zip(freqs, rng.uniform(0.0, 2.0, 60),
+                         rng.uniform(-np.pi, np.pi, 60)))
+        t = grid.times(10.0)
+        expected = sum(a * np.cos(2 * np.pi * f * t + ph) for f, a, ph in lines)
+        got = _synthesize(lines, grid, 10.0, "V").samples
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_window_periods_and_empty(self):
+        grid = SamplingGrid(1000.0, 3)
+        t = grid.times(10.0)
+        got = _synthesize([(30.0, 1.5, 0.2)], grid, 10.0, "V").samples
+        np.testing.assert_allclose(got, 1.5 * np.cos(2 * np.pi * 30 * t + 0.2),
+                                   atol=1e-14)
+        assert not np.any(_synthesize([], grid, 10.0, "V").samples)
+
+    @pytest.mark.parametrize("f", [15.0, 500.0, 700.0])
+    def test_rejects_off_bin_and_nyquist(self, f):
+        # 15 Hz: between bins of the 10 Hz window; 500 Hz: Nyquist
+        with pytest.raises(ValueError):
+            _synthesize([(f, 1.0, 0.0)], SamplingGrid(1000.0, 1), 10.0, "V")
 
 
 class TestInducedEmf:
