@@ -5,22 +5,20 @@ amplifier -> digitized channels) under two-tone excitation and estimates
 the sample temperature from the phases of the intermodulation lines.
 """
 
-from .constants import CONSTANTS, K_BOLTZMANN, MU_0, PhysicalConstants
+from .constants import K_BOLTZMANN, MU_0
 from .errors import (ConfigError, EstimationError, PlanRejection,
                      QuadratureError)
 from .estimator import (CalibrationModel, Phasor, TemperatureEstimate,
                         calibrate, direct_line_phase, estimate_tau,
                         estimate_temperature, extract_phasor,
-                        phi_h_from_mixing, sample_phase, tau_from_phase,
-                        temperature_from_tau)
+                        phi_h_from_mixing, sample_phase, tau_from_phase)
 from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid,
                             TimeSeries, equilibrium_magnetization,
                             fourier_coefficients, magnetization_spectrum,
                             ode_magnetization, spectral_magnetization)
-from .physics import (FieldCorrectionModel, ParticleSpec, SizeDistribution,
-                      average_over_sizes, debye_response, langevin,
-                      tau_brownian, tau_effective, tau_field_corrected,
-                      tau_neel, xi_parameter)
+from .physics import (FieldCorrectionModel, ParticleSpec, debye_response,
+                      langevin, tau_brownian, tau_effective,
+                      tau_field_corrected, tau_neel, xi_parameter)
 from .scenarios import (AmbientModel, ExperimentResult, FrequencyPlan,
                         ScenarioConfig, TemperatureProgram, emit_csv,
                         load_scenario, match_snr, monte_carlo_std,
@@ -30,7 +28,6 @@ from .figures import FigureTable, generate_figure
 from .signal_chain import (AcquisitionConfig, AmplifierModel, CoilParams,
                            MeasurementChannels, NoiseModel,
                            SignalChainConfig, add_noise, coil_transfer,
-                           induced_emf, simulate_channels,
                            simulate_clean_channels)
 
 __version__ = "0.1.0"

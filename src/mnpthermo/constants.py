@@ -1,18 +1,6 @@
-"""Physical constants used throughout the package (SI units)."""
+"""Physical constants used throughout the package (SI)."""
 
 import math
-from dataclasses import dataclass
 
 K_BOLTZMANN = 1.380649e-23  # J/K (exact, 2019 SI)
 MU_0 = 4.0 * math.pi * 1e-7  # T*m/A
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable constant set; instantiate without arguments for SI values."""
-
-    k_B: float = K_BOLTZMANN
-    mu_0: float = MU_0
-
-
-CONSTANTS = PhysicalConstants()

@@ -113,7 +113,7 @@ def phi_h_from_mixing(phi_plus, phi_minus):
     EstimationError when the reconstruction falls outside [0, pi/2).
     """
     s = cmath.phase(cmath.exp(1j * (phi_plus + phi_minus + 3.0 * math.pi)))
-    if s < 0.0 or s >= math.pi:
+    if not 0.0 <= s < math.pi:  # also catches nan
         raise EstimationError(
             f"reconstructed phase outside [0, pi/2): inconsistent inputs "
             f"(wrapped sum {s:.6f} rad)")
@@ -149,11 +149,6 @@ class CalibrationModel:
             raise ValueError("tau must be positive")
         t = self.a / np.asarray(tau, dtype=float) + self.b
         return float(t) if t.ndim == 0 else t
-
-
-def temperature_from_tau(tau, cal: CalibrationModel):
-    """Invert the calibrated tau -> T map."""
-    return cal.temperature(tau)
 
 
 def calibrate(points, kind="one_point") -> CalibrationModel:
@@ -244,11 +239,13 @@ def direct_line_phase(ch: MeasurementChannels, amp: AmplifierModel, f,
 def estimate_tau(ch: MeasurementChannels, plan, amp: AmplifierModel,
                  mode="mixing", *, phi_o=0.0, ref_frequency=None,
                  nominal_coil_phase=0.0):
-    """Relaxation time and phases from the channels; raises EstimationError.
+    """Relaxation time and phases from the channels.
 
     mixing: sample phases at the two mixing lines -> phi_H -> tau.
     single: direct_line_phase at f_H (the single-frequency baseline).
-    Returns (tau, phi_h, phi_plus, phi_minus, diagnostics).
+    Returns (tau, phi_h, phi_plus, phi_minus, diagnostics). Raises
+    EstimationError when the channels do not yield a positive tau, and
+    ValueError for an unknown mode.
     """
     if mode == "mixing":
         phi_plus = sample_phase(ch, amp, plan.f_plus, phi_o, ref_frequency)
@@ -265,6 +262,8 @@ def estimate_tau(ch: MeasurementChannels, plan, amp: AmplifierModel,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     tau = tau_from_phase(phi_h, plan.f_high)
+    if tau <= 0.0:
+        raise EstimationError(f"phi_H = {phi_h} rad gives no positive tau")
     return tau, phi_h, phi_plus, phi_minus, diag
 
 
@@ -272,12 +271,16 @@ def estimate_temperature(ch: MeasurementChannels, plan, amp: AmplifierModel,
                          cal: CalibrationModel, mode="mixing", *, phi_o=0.0,
                          ref_frequency=None,
                          nominal_coil_phase=0.0) -> TemperatureEstimate:
-    """Full inverse pipeline; stage failures yield a flagged estimate."""
+    """Full inverse pipeline; an EstimationError yields a flagged estimate.
+
+    Any other exception (an unknown mode, a bad plan) is a caller error
+    and propagates.
+    """
     try:
         tau, phi_h, phi_plus, phi_minus, diag = estimate_tau(
             ch, plan, amp, mode, phi_o=phi_o, ref_frequency=ref_frequency,
             nominal_coil_phase=nominal_coil_phase)
-        t_est = temperature_from_tau(tau, cal)
-    except (EstimationError, ValueError) as exc:
+    except EstimationError as exc:
         return TemperatureEstimate.invalid(str(exc))
-    return TemperatureEstimate(t_est, tau, phi_h, phi_plus, phi_minus, diag)
+    return TemperatureEstimate(cal.temperature(tau), tau, phi_h, phi_plus,
+                               phi_minus, diag)

@@ -94,7 +94,7 @@ class SamplingGrid:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled real-valued signal; `units` records A/m or volts.
+    """Sampled real-valued signal.
 
     `samples` is a read-only view (the caller's array stays writable), so
     the lazily cached `spectrum` always matches it.
@@ -103,7 +103,6 @@ class TimeSeries:
     sample_rate: float
     samples: np.ndarray
     t0: float = 0.0
-    units: str = "A/m"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float).view()
@@ -261,7 +260,7 @@ def spectral_magnetization(h: HarmonicSet, tau, fld: FieldConfig,
     out = synthesize_lines(sig.frequencies,
                            sig.coefficients * atten * np.exp(-1j * lag),
                            grid, h.f_base)
-    return TimeSeries(grid.sample_rate, out, t0=0.0, units="A/m")
+    return TimeSeries(grid.sample_rate, out, t0=0.0)
 
 
 def _rk4_relaxation_weights(z):
@@ -336,7 +335,7 @@ def ode_magnetization(fld: FieldConfig, p: ParticleSpec, temperature, tau,
 
     keep = states[n_trans_samples * substeps::substeps][:n_out]
     t0 = n_trans / f_base
-    return TimeSeries(grid.sample_rate, keep, t0=t0, units="A/m")
+    return TimeSeries(grid.sample_rate, keep, t0=t0)
 
 
 def magnetization_spectrum(ts: TimeSeries, f_base):

@@ -68,57 +68,6 @@ class ParticleSpec:
         m_s = m_s_bulk * float(sphere_volume(d_core))
         return cls(d_core, d_hydro, k_aniso, m_s, n_conc, eta, tau_0)
 
-    @classmethod
-    def with_coating(cls, d_core, coating_thickness, **kwargs):
-        """Convenience: hydrodynamic diameter = core + 2 * coating."""
-        return cls(d_core=d_core, d_hydro=d_core + 2.0 * coating_thickness,
-                   **kwargs)
-
-
-@dataclass(frozen=True)
-class SizeDistribution:
-    """Monodisperse or lognormal diameter distribution.
-
-    Lognormal nodes/weights come from Gauss-Hermite quadrature in log
-    space; weights always sum to 1.
-    """
-
-    kind: str = "monodisperse"  # "monodisperse" | "lognormal"
-    median_d: float = 30e-9
-    sigma_log: float = 0.0
-    n_quadrature: int = 9
-
-    def __post_init__(self):
-        if self.kind not in ("monodisperse", "lognormal"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.median_d <= 0.0:
-            raise ValueError("median_d must be positive")
-        if self.kind == "lognormal" and self.sigma_log <= 0.0:
-            raise ValueError("lognormal requires sigma_log > 0")
-        if self.n_quadrature < 1:
-            raise ValueError("n_quadrature must be >= 1")
-
-    def nodes(self):
-        """Return (diameters, weights); weights sum to 1 exactly."""
-        if self.kind == "monodisperse":
-            return np.array([self.median_d]), np.array([1.0])
-        x, w = np.polynomial.hermite_e.hermegauss(self.n_quadrature)
-        d = self.median_d * np.exp(self.sigma_log * x)
-        w = w / w.sum()
-        return d, w
-
-
-def average_over_sizes(dist: SizeDistribution, fn):
-    """Quadrature average of fn(diameter) over the distribution.
-
-    Per-size Debye responses do not mix linearly into one waveform; this
-    averaging of scalar quantities (e.g. relaxation times) is an
-    approximation and documented as such.
-    """
-    d, w = dist.nodes()
-    vals = np.array([fn(di) for di in d], dtype=float)
-    return float(np.dot(w, vals))
-
 
 def langevin(xi):
     """Langevin function coth(x) - 1/x; odd, bounded in (-1, 1).

@@ -391,10 +391,34 @@ def cooling_scenario(seed=0, snr_db=STATIC_MATCHED_SNR_DB):
 
 _REQUIRED_SECTIONS = ("particle", "field")
 
+# Every section and key the README documents; anything else is a typo.
+_COIL_KEYS = ("r0_ohm", "l0_h", "alpha_r_per_k", "alpha_l_per_k", "t_ref_k",
+              "coupling")
+_KNOWN_KEYS = {
+    "particle": ("d_core_m", "d_hydro_m", "k_aniso_j_m3", "m_s_bulk_a_m",
+                 "m_s_am2", "n_conc_m3", "eta_pa_s", "tau_0_s"),
+    "field": ("f_h_hz", "f_l_hz", "b_h_t", "b_l_t"),
+    "acquisition": ("sample_rate_hz", "window_periods", "mains_hz"),
+    "coil_a": _COIL_KEYS,
+    "coil_b": _COIL_KEYS,
+    "amplifier": ("gain", "table_path"),
+    "noise": ("snr_db", "seed"),
+    "temperature": ("program", "t_start_k", "t_end_k", "duration_s", "points",
+                    "time_constant_s", "ambient_t_k", "ambient_coupling",
+                    "ambient_sample_ref_k"),
+    "calibration": ("kind", "temperatures_k"),
+    "estimator": ("mode", "ref_policy", "phi_o_rad", "phase_model"),
+}
+
 
 def load_scenario(path) -> ScenarioConfig:
-    """Read a key = value scenario file (INI sections; see README)."""
+    """Read a key = value scenario file (INI sections; see README).
+
+    Keys are case-sensitive; an undocumented section or key raises
+    ConfigError naming it.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -417,7 +441,19 @@ def _coil_from_section(sec):
                       alpha_l=sec.getfloat("alpha_l_per_k", 0.0))
 
 
+def _check_known_keys(parser):
+    # [DEFAULT] goes first: its keys would otherwise show up in every section
+    known = {parser.default_section: (), **_KNOWN_KEYS}
+    for name in (parser.default_section, *parser.sections()):
+        if name not in known:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser[name]:
+            if key not in known[name]:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
+
+
 def _scenario_from_parser(parser):
+    _check_known_keys(parser)
     for name in _REQUIRED_SECTIONS:
         if not parser.has_section(name):
             raise ConfigError(f"missing [{name}] section")

@@ -26,9 +26,8 @@ from .constants import MU_0
 from .errors import ConfigError
 from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid, TimeSeries,
                             fourier_coefficients, synthesize_lines)
-from .physics import (FieldCorrectionModel, ParticleSpec, debye_response,
-                      tau_brownian, tau_effective, tau_field_corrected, tau_neel,
-                      xi_parameter)
+from .physics import (ParticleSpec, debye_response, tau_brownian,
+                      tau_effective, tau_neel)
 
 FARADAY_PHASE_OFFSET = -1.5 * math.pi  # voltage phase minus relaxation lag
 
@@ -178,7 +177,7 @@ def add_noise(ts: TimeSeries, noise: NoiseModel, reference_amplitude=None,
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     noisy = ts.samples + sigma * rng.standard_normal(ts.samples.size)
-    return TimeSeries(ts.sample_rate, noisy, t0=ts.t0, units=ts.units)
+    return TimeSeries(ts.sample_rate, noisy, t0=ts.t0)
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,6 @@ class SignalChainConfig:
     acquisition: AcquisitionConfig = AcquisitionConfig()
     phi_o: float = 0.0            # excitation feedthrough phase (rad)
     phase_model: str = "debye"    # "debye" | "composed"
-    field_correction: FieldCorrectionModel | None = None
 
     def __post_init__(self):
         if self.phase_model not in ("debye", "composed"):
@@ -236,26 +234,11 @@ class MeasurementChannels:
             raise ConfigError("window must span integer base periods")
 
 
-def _synthesize(lines, grid: SamplingGrid, f_base, units):
+def _synthesize(lines, grid: SamplingGrid, f_base):
     """Sum cosine lines (frequency, amplitude, phase) into a waveform."""
     f, amp, ph = np.array(lines, dtype=float).reshape(-1, 3).T
     out = synthesize_lines(f, amp * np.exp(1j * ph), grid, f_base)
-    return TimeSeries(grid.sample_rate, out, t0=0.0, units=units)
-
-
-def induced_emf(m: TimeSeries, coil: CoilParams) -> TimeSeries:
-    """Pick-up voltage of a magnetization waveform, exact per spectral line.
-
-    Each line at frequency f gains amplitude coupling * 2*pi*f and +pi/2
-    of phase (frequency-domain differentiation of the periodic signal); a
-    constant magnetization induces nothing. Assumes the window spans whole
-    periods of the content.
-    """
-    spectrum = np.fft.rfft(m.samples)
-    freqs = np.fft.rfftfreq(m.samples.size, d=1.0 / m.sample_rate)
-    spectrum *= coil.coupling * (1j * 2.0 * np.pi * freqs)
-    volts = np.fft.irfft(spectrum, n=m.samples.size)
-    return TimeSeries(m.sample_rate, volts, t0=m.t0, units="V")
+    return TimeSeries(grid.sample_rate, out, t0=0.0)
 
 
 @lru_cache(maxsize=16)
@@ -264,19 +247,10 @@ def _cached_harmonics(fld: FieldConfig, p: ParticleSpec, t_sample):
     return fourier_coefficients(fld, p, t_sample)
 
 
-def relaxation_time(fld: FieldConfig, p: ParticleSpec, t_sample,
-                    field_correction: FieldCorrectionModel | None = None):
-    """Effective relaxation time at the sample temperature.
-
-    Parallel Brownian/Neel combination; optionally shortened by the
-    empirical field-amplitude model evaluated at the combined peak field.
-    """
-    tau = tau_effective(tau_brownian(p.d_hydro, p.eta, t_sample),
-                        tau_neel(p.d_core, p.k_aniso, t_sample, p.tau_0))
-    if field_correction is not None:
-        xi_peak = xi_parameter(p, fld.b_high + fld.b_low, t_sample)
-        tau = tau_field_corrected(tau, xi_peak, field_correction)
-    return tau
+def relaxation_time(p: ParticleSpec, t_sample):
+    """Effective (parallel Brownian/Neel) relaxation time at t_sample."""
+    return tau_effective(tau_brownian(p.d_hydro, p.eta, t_sample),
+                         tau_neel(p.d_core, p.k_aniso, t_sample, p.tau_0))
 
 
 def _composed_line_orders(fld: FieldConfig):
@@ -362,40 +336,40 @@ def _difference_lines(lines_a, lines_b):
 
 
 def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
-                            chain: SignalChainConfig, t_amb,
-                            reference_line_frequencies=None):
+                            chain: SignalChainConfig, t_amb):
     """Noiseless channel synthesis; returns (channels, reference_amplitude).
 
     reference_amplitude is the largest amplified sample line, the scale
     every noise SNR is defined against. Identical coils cancel to an
     exactly-zero background. With the composed phase model the reference
     channel also receives feedthrough-structured lines at the analysis
-    bins unless reference_line_frequencies overrides the placement.
+    bins.
     """
     grid = chain.acquisition.grid()
     f_base = fld.f_base
 
-    tau = relaxation_time(fld, p, t_sample, chain.field_correction)
+    tau = relaxation_time(p, t_sample)
     harmonics = _cached_harmonics(fld, p, float(t_sample))
     sample_lines = sample_voltage_lines(fld, p, t_sample, tau, chain.coil_a,
                                         t_amb, chain.phase_model, harmonics)
     sample_amplified = _through_amplifier(sample_lines, chain.amplifier)
 
-    if reference_line_frequencies is None and chain.phase_model == "composed":
-        reference_line_frequencies = sorted(
-            {fld.f_high, fld.f_low} | {f for f, _, _ in sample_lines})
     ft_a = feedthrough_lines(fld, chain.coil_a, t_amb, chain.phi_o)
     ft_b = feedthrough_lines(fld, chain.coil_b, t_amb, chain.phi_o)
-    ref_lines = feedthrough_lines(fld, chain.coil_a, t_amb, chain.phi_o,
-                                  frequencies=reference_line_frequencies)
+    ref_lines = ft_a
+    if chain.phase_model == "composed":
+        ref_lines = feedthrough_lines(
+            fld, chain.coil_a, t_amb, chain.phi_o,
+            frequencies=sorted({fld.f_high, fld.f_low}
+                               | {f for f, _, _ in sample_lines}))
 
     background_lines = _through_amplifier(_difference_lines(ft_a, ft_b),
                                           chain.amplifier)
 
-    diff_background = _synthesize(background_lines, grid, f_base, "V")
+    diff_background = _synthesize(background_lines, grid, f_base)
     diff_sample = _synthesize(background_lines + sample_amplified, grid,
-                              f_base, "V")
-    ref_a = _synthesize(ref_lines, grid, f_base, "V")
+                              f_base)
+    ref_a = _synthesize(ref_lines, grid, f_base)
 
     channels = MeasurementChannels(diff_background, diff_sample, ref_a,
                                    f_base, chain.acquisition)
@@ -417,9 +391,3 @@ def apply_noise(channels: MeasurementChannels, noise: NoiseModel,
     return MeasurementChannels(noisy[0], noisy[1], noisy[2],
                                channels.f_base, channels.acquisition)
 
-
-def simulate_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
-                      chain: SignalChainConfig, t_amb) -> MeasurementChannels:
-    """Full channel simulation: clean synthesis plus configured noise."""
-    channels, ref_amp = simulate_clean_channels(fld, p, t_sample, chain, t_amb)
-    return apply_noise(channels, chain.noise, ref_amp)

@@ -81,6 +81,14 @@ class TestScenario:
         assert text.startswith("t_s,")
         assert "# summary" in text
 
+    def test_config_key_typo_exit_code(self, tmp_path, capsys):
+        typo = tmp_path / "typo.ini"
+        typo.write_text(SCENARIO_INI.replace("snr_db = inf", "snr_dB = 40"))
+        assert main(["scenario", "run", str(typo)]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err
+        assert "'snr_dB' in [noise]" in err
+
     def test_mode_override(self, scenario_file, capsys):
         code = main(["scenario", "run", scenario_file, "--trials", "1",
                      "--mode", "single"])

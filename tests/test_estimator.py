@@ -7,7 +7,7 @@ from mnpthermo import (AcquisitionConfig, AmplifierModel, CalibrationModel,
                        EstimationError, FieldConfig, MeasurementChannels,
                        SamplingGrid, TimeSeries, calibrate, extract_phasor,
                        estimate_temperature, phi_h_from_mixing, sample_phase,
-                       tau_brownian, tau_from_phase, temperature_from_tau)
+                       tau_brownian, tau_from_phase)
 from mnpthermo.estimator import wrap_phase
 from mnpthermo.scenarios import measured_coils
 from mnpthermo.signal_chain import (_difference_lines, _synthesize,
@@ -84,11 +84,11 @@ def synthetic_channels(phi_s_by_freq, phi_o=0.0, coil_b=None,
                             frequencies=sorted({fld.f_high, fld.f_low}
                                                | set(phi_s_by_freq)))
     bg = _synthesize(_through_amplifier(_difference_lines(ft_a, ft_b),
-                                        amplifier), grid, fld.f_base, "V")
+                                        amplifier), grid, fld.f_base)
     sw = _synthesize(_through_amplifier(sample_lines, amplifier), grid,
-                     fld.f_base, "V")
-    ds = TimeSeries(grid.sample_rate, bg.samples + sw.samples, units="V")
-    ref_ts = _synthesize(ref, grid, fld.f_base, "V")
+                     fld.f_base)
+    ds = TimeSeries(grid.sample_rate, bg.samples + sw.samples)
+    ref_ts = _synthesize(ref, grid, fld.f_base)
     return MeasurementChannels(bg, ds, ref_ts, fld.f_base,
                                AcquisitionConfig(grid.sample_rate, 1))
 
@@ -203,17 +203,16 @@ class TestCalibration:
         a = 3 * 1e-3 * v_h / K_B
         cal = CalibrationModel("one_point", a)
         assert cal.a == pytest.approx(3.0719e-3, rel=1e-4)
-        assert temperature_from_tau(9.752e-6, cal) == pytest.approx(315.0,
-                                                                    abs=0.01)
+        assert cal.temperature(9.752e-6) == pytest.approx(315.0, abs=0.01)
 
     def test_inverse_proportionality(self):
         cal = CalibrationModel("one_point", 3.07e-3)
-        assert temperature_from_tau(2e-5, cal) == pytest.approx(
-            0.5 * temperature_from_tau(1e-5, cal), rel=1e-12)
+        assert cal.temperature(2e-5) == pytest.approx(
+            0.5 * cal.temperature(1e-5), rel=1e-12)
 
     def test_calibration_point_recovered(self):
         cal = calibrate([(9.752e-6, 315.0)], "one_point")
-        assert temperature_from_tau(9.752e-6, cal) == pytest.approx(
+        assert cal.temperature(9.752e-6) == pytest.approx(
             315.0, rel=1e-14)
 
     def test_affine_exact_recovery(self):
@@ -245,7 +244,7 @@ class TestCalibration:
     def test_rejects_bad_tau(self):
         cal = CalibrationModel("one_point", 3.07e-3)
         with pytest.raises(ValueError):
-            temperature_from_tau(0.0, cal)
+            cal.temperature(0.0)
 
 
 class TestEstimateTemperature:
@@ -283,3 +282,25 @@ class TestEstimateTemperature:
         with pytest.raises(ValueError):
             from mnpthermo import estimate_tau
             estimate_tau(ch, self._plan(), AmplifierModel.default(), "both")
+
+    def test_unknown_mode_raises_instead_of_flagging(self):
+        # a caller error must not turn into a flagged row
+        ch = synthetic_channels({9140.0: 0.7})
+        cal = CalibrationModel("one_point", 3.07e-3)
+        with pytest.raises(ValueError, match="unknown mode"):
+            estimate_temperature(ch, self._plan(), AmplifierModel.default(),
+                                 cal, "both")
+
+    def test_zero_phase_flagged(self, monkeypatch):
+        # phi_H = 0 gives tan 0 = 0: no positive tau, hence no temperature
+        from mnpthermo import estimator
+        monkeypatch.setattr(estimator, "phi_h_from_mixing", lambda p, m: 0.0)
+        ch = synthetic_channels({9140.0: 0.7, 2860.0: 0.1})
+        plan, amp = self._plan(), AmplifierModel.default()
+        with pytest.raises(EstimationError, match="positive tau"):
+            estimator.estimate_tau(ch, plan, amp, "mixing")
+        est = estimate_temperature(ch, plan, amp,
+                                   CalibrationModel("one_point", 3.07e-3),
+                                   "mixing")
+        assert not est.valid and math.isnan(est.t_est)
+        assert "positive tau" in est.error

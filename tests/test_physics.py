@@ -3,22 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mnpthermo import (FieldCorrectionModel, ParticleSpec, SizeDistribution,
-                       average_over_sizes, debye_response, langevin,
-                       tau_brownian, tau_effective, tau_field_corrected,
-                       tau_neel, xi_parameter)
-from mnpthermo.constants import PhysicalConstants
+from mnpthermo import (FieldCorrectionModel, ParticleSpec, debye_response,
+                       langevin, tau_brownian, tau_effective,
+                       tau_field_corrected, tau_neel, xi_parameter)
 from mnpthermo.physics import TAU_NEEL_CAP
 
 K_B = 1.380649e-23
-
-
-def test_constants_values():
-    c = PhysicalConstants()
-    assert c.k_B == 1.380649e-23
-    assert c.mu_0 == pytest.approx(4 * math.pi * 1e-7, rel=0, abs=0)
-    with pytest.raises(Exception):
-        c.k_B = 1.0  # frozen
 
 
 class TestLangevin:
@@ -224,29 +214,3 @@ class TestParticleSpec:
         with pytest.raises(ValueError):
             ParticleSpec(d_core=30e-9, d_hydro=30e-9, k_aniso=-1.0, m_s=1e-18,
                          n_conc=1e20, eta=1e-3)
-
-    def test_coating_helper(self):
-        p = ParticleSpec.with_coating(20e-9, 5e-9, k_aniso=1e4, m_s=1e-18,
-                                      n_conc=1e20, eta=1e-3)
-        assert p.d_hydro == pytest.approx(30e-9)
-
-
-class TestSizeDistribution:
-    def test_monodisperse_single_node(self):
-        d, w = SizeDistribution("monodisperse", 30e-9).nodes()
-        assert d.tolist() == [30e-9] and w.tolist() == [1.0]
-
-    def test_lognormal_weights_sum(self):
-        d, w = SizeDistribution("lognormal", 30e-9, 0.15, 15).nodes()
-        assert w.sum() == pytest.approx(1.0, rel=1e-12)
-        assert np.all(d > 0)
-
-    def test_lognormal_requires_sigma(self):
-        with pytest.raises(ValueError):
-            SizeDistribution("lognormal", 30e-9, 0.0)
-
-    def test_average_over_sizes(self):
-        dist = SizeDistribution("lognormal", 30e-9, 0.1, 21)
-        mean_d = average_over_sizes(dist, lambda d: d)
-        # lognormal mean = median * exp(sigma^2/2)
-        assert mean_d == pytest.approx(30e-9 * math.exp(0.005), rel=1e-6)

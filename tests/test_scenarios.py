@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,8 @@ class TestCsv:
         assert "r.csv" in str(info.value)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
 SCENARIO_INI = """
 [particle]
 d_core_m = 30e-9
@@ -237,6 +241,31 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scenario(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize("name", ["static.ini", "cooling.ini"])
+    def test_shipped_configs_load(self, name):
+        assert load_scenario(ROOT / "configs" / name).snr_db == 92.3
+
+    def test_readme_example_loads(self, tmp_path):
+        # every key the README documents is accepted
+        readme = (ROOT / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n")[1].split("```")[0])
+        cfg = load_scenario(path)
+        assert cfg.phase_model == "debye" and cfg.coil_a.alpha_l == 0.0
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("seed = 3", "seeds = 3", "'seeds' in [noise]"),
+        ("snr_db = inf", "SNR_DB = inf", "'SNR_DB' in [noise]"),
+        ("[noise]", "[nosie]", "unknown section [nosie]"),
+        ("[particle]", "[DEFAULT]\nseed = 1\n[particle]", "'seed' in [DEFAULT]"),
+    ], ids=["key", "case", "section", "default"])
+    def test_undocumented_key_or_section_rejected(self, tmp_path, old, new,
+                                                  named):
+        path = tmp_path / "typo.ini"
+        path.write_text(SCENARIO_INI.replace(old, new))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_scenario(path)
 
 
 def test_nominal_coil_phase_matches_transfer():

@@ -6,12 +6,10 @@ import pytest
 
 from mnpthermo import (AcquisitionConfig, AmplifierModel, CoilParams,
                        NoiseModel, SignalChainConfig, TimeSeries, add_noise,
-                       coil_transfer, extract_phasor, induced_emf,
-                       simulate_channels, simulate_clean_channels,
-                       tau_brownian)
+                       coil_transfer, extract_phasor, simulate_clean_channels)
 from mnpthermo.errors import ConfigError
 from mnpthermo.magnetization import SamplingGrid
-from mnpthermo.signal_chain import _synthesize
+from mnpthermo.signal_chain import _synthesize, apply_noise
 
 
 def make_chain(coil_a, coil_b, noise=None, phi_o=0.0, phase_model="debye",
@@ -20,6 +18,12 @@ def make_chain(coil_a, coil_b, noise=None, phi_o=0.0, phase_model="debye",
                              noise or NoiseModel(),
                              AcquisitionConfig(500000.0, window), phi_o,
                              phase_model)
+
+
+def noisy_channels(fld, p, t_sample, chain, t_amb):
+    """Clean synthesis plus the chain's configured noise."""
+    channels, ref_amp = simulate_clean_channels(fld, p, t_sample, chain, t_amb)
+    return apply_noise(channels, chain.noise, ref_amp)
 
 
 class TestCoilTransfer:
@@ -133,68 +137,34 @@ class TestSynthesize:
                          rng.uniform(-np.pi, np.pi, 60)))
         t = grid.times(10.0)
         expected = sum(a * np.cos(2 * np.pi * f * t + ph) for f, a, ph in lines)
-        got = _synthesize(lines, grid, 10.0, "V").samples
+        got = _synthesize(lines, grid, 10.0).samples
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_window_periods_and_empty(self):
         grid = SamplingGrid(1000.0, 3)
         t = grid.times(10.0)
-        got = _synthesize([(30.0, 1.5, 0.2)], grid, 10.0, "V").samples
+        got = _synthesize([(30.0, 1.5, 0.2)], grid, 10.0).samples
         np.testing.assert_allclose(got, 1.5 * np.cos(2 * np.pi * 30 * t + 0.2),
                                    atol=1e-14)
-        assert not np.any(_synthesize([], grid, 10.0, "V").samples)
+        assert not np.any(_synthesize([], grid, 10.0).samples)
 
     @pytest.mark.parametrize("f", [15.0, 500.0, 700.0])
     def test_rejects_off_bin_and_nyquist(self, f):
         # 15 Hz: between bins of the 10 Hz window; 500 Hz: Nyquist
         with pytest.raises(ValueError):
-            _synthesize([(f, 1.0, 0.0)], SamplingGrid(1000.0, 1), 10.0, "V")
-
-
-class TestInducedEmf:
-    def test_single_line(self):
-        fs, f, n = 100000, 500.0, 2000
-        t = np.arange(n) / fs
-        coil = CoilParams(r0=10.0, l0=1e-3, coupling=2e-8)
-        emf = induced_emf(TimeSeries(fs, np.cos(2 * np.pi * f * t)), coil)
-        expected = coil.coupling * 2 * np.pi * f * np.cos(
-            2 * np.pi * f * t + np.pi / 2)
-        np.testing.assert_allclose(emf.samples, expected, atol=1e-15)
-        assert emf.units == "V"
-
-    def test_constant_input_silent(self):
-        coil = CoilParams(r0=10.0, l0=1e-3, coupling=2e-8)
-        emf = induced_emf(TimeSeries(1000.0, np.full(500, 3.3)), coil)
-        assert np.max(np.abs(emf.samples)) < 1e-15
-
-    def test_multiline_frequency_domain_exact(self, particle, operating_field):
-        # line-by-line analytic factor check on a realistic waveform
-        from mnpthermo import (SamplingGrid, fourier_coefficients,
-                               spectral_magnetization)
-        tau = tau_brownian(30e-9, 1e-3, 300.0)
-        h = fourier_coefficients(operating_field, particle, 300.0)
-        ts = spectral_magnetization(h, tau, operating_field, SamplingGrid(500000, 1))
-        coil = CoilParams(r0=10.0, l0=1e-3, coupling=1e-8)
-        emf = induced_emf(ts, coil)
-        for f in (1570.0, 6000.0, 9140.0, 2860.0):
-            m_line = extract_phasor(ts, f)
-            v_line = extract_phasor(emf, f)
-            assert v_line.amplitude == pytest.approx(
-                coil.coupling * 2 * np.pi * f * m_line.amplitude, rel=1e-9)
-            dphi = (v_line.phase - m_line.phase) % (2 * np.pi)
-            assert dphi == pytest.approx(np.pi / 2, abs=1e-9)
+            _synthesize([(f, 1.0, 0.0)], SamplingGrid(1000.0, 1), 10.0)
 
 
 class TestSimulateChannels:
     def test_identical_coils_cancel(self, particle, operating_field, coil_pair):
         chain = make_chain(coil_pair[0], coil_pair[0])
-        ch = simulate_channels(operating_field, particle, 300.0, chain, 300.0)
+        ch = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
         assert np.max(np.abs(ch.diff_background.samples)) == 0.0
 
     def test_mismatched_coils_leak_excitation(self, particle, operating_field,
                                               coil_pair):
         chain = make_chain(*coil_pair)
-        ch = simulate_channels(operating_field, particle, 300.0, chain, 300.0)
+        ch = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
         for f in (6000.0, 1570.0):
             assert extract_phasor(ch.diff_background, f).amplitude > 1e-6
         # no feedthrough at the mixing lines
@@ -207,8 +177,8 @@ class TestSimulateChannels:
                                             sample_voltage_lines,
                                             _through_amplifier)
         chain = make_chain(*coil_pair)
-        ch = simulate_channels(operating_field, particle, 300.0, chain, 300.0)
-        tau = relaxation_time(operating_field, particle, 300.0)
+        ch = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
+        tau = relaxation_time(particle, 300.0)
         expected = dict()
         lines = sample_voltage_lines(operating_field, particle, 300.0, tau,
                                      coil_pair[0], 300.0)
@@ -229,8 +199,8 @@ class TestSimulateChannels:
         other_b = CoilParams(r0=33.0, l0=5e-3, alpha_r=2e-3, t_ref=290.0,
                              coupling=3e-8)
         chain2 = make_chain(coil_pair[0], other_b)
-        ch1 = simulate_channels(operating_field, particle, 300.0, chain1, 300.0)
-        ch2 = simulate_channels(operating_field, particle, 300.0, chain2, 300.0)
+        ch1 = noisy_channels(operating_field, particle, 300.0, chain1, 300.0)
+        ch2 = noisy_channels(operating_field, particle, 300.0, chain2, 300.0)
         d1 = ch1.diff_sample.samples - ch1.diff_background.samples
         d2 = ch2.diff_sample.samples - ch2.diff_background.samples
         assert np.max(np.abs(d1 - d2)) < 1e-12 * np.max(np.abs(d1))
@@ -240,8 +210,8 @@ class TestSimulateChannels:
         chain1 = make_chain(*coil_pair)
         scaled = [replace(c, coupling=2.0 * c.coupling) for c in coil_pair]
         chain2 = make_chain(*scaled)
-        ch1 = simulate_channels(operating_field, particle, 300.0, chain1, 300.0)
-        ch2 = simulate_channels(operating_field, particle, 300.0, chain2, 300.0)
+        ch1 = noisy_channels(operating_field, particle, 300.0, chain1, 300.0)
+        ch2 = noisy_channels(operating_field, particle, 300.0, chain2, 300.0)
         np.testing.assert_allclose(ch2.diff_sample.samples,
                                    2.0 * ch1.diff_sample.samples, rtol=1e-12)
         np.testing.assert_allclose(ch2.diff_background.samples,
@@ -265,24 +235,24 @@ class TestSimulateChannels:
     def test_noisy_channels_deterministic(self, particle, operating_field,
                                           coil_pair):
         chain = make_chain(*coil_pair, noise=NoiseModel(60.0, 42))
-        ch1 = simulate_channels(operating_field, particle, 300.0, chain, 300.0)
-        ch2 = simulate_channels(operating_field, particle, 300.0, chain, 300.0)
+        ch1 = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
+        ch2 = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
         np.testing.assert_array_equal(ch1.diff_sample.samples,
                                       ch2.diff_sample.samples)
         np.testing.assert_array_equal(ch1.ref_a.samples, ch2.ref_a.samples)
         # channels get independent streams
         assert not np.array_equal(
-            ch1.diff_sample.samples - simulate_channels(
+            ch1.diff_sample.samples - noisy_channels(
                 operating_field, particle, 300.0,
                 make_chain(*coil_pair), 300.0).diff_sample.samples,
-            ch1.diff_background.samples - simulate_channels(
+            ch1.diff_background.samples - noisy_channels(
                 operating_field, particle, 300.0,
                 make_chain(*coil_pair), 300.0).diff_background.samples)
 
     def test_window_mismatch_rejected(self, particle, operating_field, coil_pair):
         from mnpthermo import MeasurementChannels
         chain = make_chain(*coil_pair)
-        ch = simulate_channels(operating_field, particle, 300.0, chain, 300.0)
+        ch = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
         bad = TimeSeries(250000.0, ch.ref_a.samples)
         with pytest.raises(ConfigError):
             MeasurementChannels(ch.diff_background, ch.diff_sample, bad,
