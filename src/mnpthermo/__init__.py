@@ -18,7 +18,7 @@ from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid,
                             ode_magnetization, spectral_magnetization)
 from .physics import (FieldCorrectionModel, ParticleSpec, debye_response,
                       langevin, tau_brownian, tau_effective,
-                      tau_field_corrected, tau_neel, xi_parameter)
+                      tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ExperimentResult, FrequencyPlan,
                         ScenarioConfig, TemperatureProgram, emit_csv,
                         load_scenario, match_snr, monte_carlo_std,

@@ -87,13 +87,6 @@ def langevin(xi):
     return float(out[0]) if scalar else out
 
 
-def xi_parameter(p: ParticleSpec, b_amp, temperature):
-    """Dimensionless field parameter m_s * B / (k_B * T); B in tesla."""
-    if np.any(np.asarray(temperature) <= 0.0):
-        raise ValueError("temperature must be positive")
-    return p.m_s * np.asarray(b_amp, dtype=float) / (K_BOLTZMANN * temperature)
-
-
 def tau_brownian(d_hydro, eta, temperature):
     """Brownian rotation time 3*eta*V_hydro / (k_B*T), in seconds."""
     if np.any(np.asarray(d_hydro) <= 0.0) or np.any(np.asarray(eta) <= 0.0) \

@@ -236,40 +236,63 @@ def self_calibrate(cfg: ScenarioConfig) -> CalibrationModel:
     return calibrate(points, cfg.cal_kind)
 
 
-def run_scenario(cfg: ScenarioConfig, cal: CalibrationModel | None = None) -> ExperimentResult:
-    """Run the configured temperature program point by point.
+def _estimates(cfg, cal, noise, draws):
+    """Estimate T for each (sample temperature, noise seed) draw.
 
-    Each time point simulates fresh channels at the true sample (and
-    ambient coil) temperature with its own deterministic noise stream,
-    then runs the estimator; failures become flagged rows.
+    Clean channels are synthesized only when a draw's temperature differs
+    from the previous one's. One entry is enough, because the coil
+    temperature follows the sample temperature, and a cooling run must not
+    hold a channel set per point. Every draw adds its own noise stream.
+
+    A generator, so that at a held temperature each noisy channel set
+    stays bound until the next one replaces it: freed before the next draw
+    allocates, its ~2 MB would go back to the OS and be faulted in again
+    on every draw. A new temperature drops the old sets before
+    synthesizing, so it holds no extra channel set meanwhile.
     """
-    if cal is None:
-        cal = self_calibrate(cfg)
     fld = cfg.field_config()
     chain = cfg.chain()
     nom = nominal_coil_phase(cfg)
-    noise = NoiseModel(cfg.snr_db, cfg.seed)
-
-    times = cfg.program.times()
-    temperatures = cfg.program.temperature(times)
-    records = []
-    for i, (t, t_true) in enumerate(zip(times, temperatures)):
-        channels, ref_amp = simulate_clean_channels(
-            fld, cfg.particle, float(t_true), chain,
-            cfg.ambient.ambient(float(t_true)))
-        channels = apply_noise(channels, noise, ref_amp,
-                               _point_seed(cfg.seed, i))
-        est = estimate_temperature(channels, cfg.plan, cfg.amplifier, cal,
+    clean_t = None
+    for t_sample, seed_sequence in draws:
+        if t_sample != clean_t:
+            clean_t = t_sample
+            clean = noisy = None
+            clean, ref_amp = simulate_clean_channels(
+                fld, cfg.particle, t_sample, chain,
+                cfg.ambient.ambient(t_sample))
+        noisy = apply_noise(clean, noise, ref_amp, seed_sequence)
+        yield estimate_temperature(noisy, cfg.plan, cfg.amplifier, cal,
                                    cfg.mode, phi_o=cfg.phi_o,
                                    ref_frequency=cfg.ref_frequency(),
                                    nominal_coil_phase=nom)
+
+
+def run_scenario(cfg: ScenarioConfig, cal: CalibrationModel | None = None) -> ExperimentResult:
+    """Run the configured temperature program point by point.
+
+    Clean channels are synthesized at the true sample (and ambient coil)
+    temperature once per run of equal consecutive temperatures, so a
+    constant hold synthesizes once; every point still adds its own
+    deterministic noise stream and runs the estimator. Failures become
+    flagged rows.
+    """
+    if cal is None:
+        cal = self_calibrate(cfg)
+    times = cfg.program.times()
+    temperatures = [float(t) for t in cfg.program.temperature(times)]
+    draws = ((t_true, _point_seed(cfg.seed, i))
+             for i, t_true in enumerate(temperatures))
+    estimates = _estimates(cfg, cal, NoiseModel(cfg.snr_db, cfg.seed), draws)
+    records = []
+    for t, t_true, est in zip(times, temperatures, estimates):
         if est.valid:
-            records.append(PointRecord(float(t), float(t_true), est.t_est,
+            records.append(PointRecord(float(t), t_true, est.t_est,
                                        est.tau_est, est.phi_h,
-                                       est.t_est - float(t_true), True))
+                                       est.t_est - t_true, True))
         else:
             nan = float("nan")
-            records.append(PointRecord(float(t), float(t_true), nan, nan,
+            records.append(PointRecord(float(t), t_true, nan, nan,
                                        nan, nan, False))
     return ExperimentResult(records, ExperimentResult.summarize(records))
 
@@ -283,21 +306,10 @@ def monte_carlo_std(cfg: ScenarioConfig, t_sample, snr_db, n_trials=200,
     """
     if cal is None:
         cal = self_calibrate(cfg)
-    fld = cfg.field_config()
-    chain = cfg.chain(NoiseModel(math.inf, cfg.seed))
-    nom = nominal_coil_phase(cfg)
-    clean, ref_amp = simulate_clean_channels(fld, cfg.particle, t_sample,
-                                             chain,
-                                             cfg.ambient.ambient(t_sample))
-    noise = NoiseModel(snr_db, cfg.seed)
+    draws = ((t_sample, _point_seed(cfg.seed, 0, j)) for j in range(n_trials))
     errors = []
     n_flagged = 0
-    for j in range(n_trials):
-        noisy = apply_noise(clean, noise, ref_amp, _point_seed(cfg.seed, 0, j))
-        est = estimate_temperature(noisy, cfg.plan, cfg.amplifier, cal,
-                                   cfg.mode, phi_o=cfg.phi_o,
-                                   ref_frequency=cfg.ref_frequency(),
-                                   nominal_coil_phase=nom)
+    for est in _estimates(cfg, cal, NoiseModel(snr_db, cfg.seed), draws):
         if est.valid:
             errors.append(est.t_est - t_sample)
         else:
@@ -432,9 +444,16 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"bad scenario {path}: {exc}") from exc
 
 
+def _required_float(sec, key):
+    # SectionProxy.getfloat returns None for a missing key
+    if key not in sec:
+        raise ConfigError(f"missing key {key!r} in [{sec.name}]")
+    return sec.getfloat(key)
+
+
 def _coil_from_section(sec):
-    return CoilParams(r0=sec.getfloat("r0_ohm"),
-                      l0=sec.getfloat("l0_h"),
+    return CoilParams(r0=_required_float(sec, "r0_ohm"),
+                      l0=_required_float(sec, "l0_h"),
                       alpha_r=sec.getfloat("alpha_r_per_k", 3.9e-3),
                       t_ref=sec.getfloat("t_ref_k", 300.0),
                       coupling=sec.getfloat("coupling", 1e-8),
@@ -458,28 +477,25 @@ def _scenario_from_parser(parser):
         if not parser.has_section(name):
             raise ConfigError(f"missing [{name}] section")
     ps = parser["particle"]
+    common = dict(d_core=_required_float(ps, "d_core_m"),
+                  d_hydro=_required_float(ps, "d_hydro_m"),
+                  k_aniso=ps.getfloat("k_aniso_j_m3", 20e3),
+                  n_conc=ps.getfloat("n_conc_m3", 1e20),
+                  eta=ps.getfloat("eta_pa_s", 1e-3),
+                  tau_0=ps.getfloat("tau_0_s", 1e-9))
     if "m_s_bulk_a_m" in ps:
         particle = ParticleSpec.from_bulk_magnetization(
-            d_core=ps.getfloat("d_core_m"), d_hydro=ps.getfloat("d_hydro_m"),
-            k_aniso=ps.getfloat("k_aniso_j_m3", 20e3),
-            m_s_bulk=ps.getfloat("m_s_bulk_a_m"),
-            n_conc=ps.getfloat("n_conc_m3", 1e20),
-            eta=ps.getfloat("eta_pa_s", 1e-3),
-            tau_0=ps.getfloat("tau_0_s", 1e-9))
+            m_s_bulk=ps.getfloat("m_s_bulk_a_m"), **common)
+    elif "m_s_am2" in ps:
+        particle = ParticleSpec(m_s=ps.getfloat("m_s_am2"), **common)
     else:
-        particle = ParticleSpec(
-            d_core=ps.getfloat("d_core_m"), d_hydro=ps.getfloat("d_hydro_m"),
-            k_aniso=ps.getfloat("k_aniso_j_m3", 20e3),
-            m_s=ps.getfloat("m_s_am2"),
-            n_conc=ps.getfloat("n_conc_m3", 1e20),
-            eta=ps.getfloat("eta_pa_s", 1e-3),
-            tau_0=ps.getfloat("tau_0_s", 1e-9))
+        raise ConfigError("missing key 'm_s_bulk_a_m' or 'm_s_am2' in [particle]")
 
     fs = parser["field"]
     acq = parser["acquisition"] if parser.has_section("acquisition") else {}
     mains = float(acq.get("mains_hz", 50)) if acq else 50
     plan = plan_frequencies(
-        int(fs.getfloat("f_h_hz")), int(fs.getfloat("f_l_hz")),
+        int(_required_float(fs, "f_h_hz")), int(_required_float(fs, "f_l_hz")),
         int(float(acq.get("sample_rate_hz", 500000))) if acq else 500000,
         mains=int(mains) if mains else None,
         window_periods=int(float(acq.get("window_periods", 1))) if acq else 1)
@@ -531,7 +547,7 @@ def _scenario_from_parser(parser):
     est = parser["estimator"] if parser.has_section("estimator") else {}
     return ScenarioConfig(
         particle=particle, plan=plan,
-        b_high=fs.getfloat("b_h_t"), b_low=fs.getfloat("b_l_t"),
+        b_high=_required_float(fs, "b_h_t"), b_low=_required_float(fs, "b_l_t"),
         coil_a=coil_a, coil_b=coil_b, amplifier=amplifier,
         snr_db=snr_db, seed=seed,
         phi_o=float(est.get("phi_o_rad", 0.0)) if est else 0.0,

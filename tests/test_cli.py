@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from mnpthermo.cli import main
-from tests.test_scenarios import SCENARIO_INI
+from tests.test_scenarios import ROOT, SCENARIO_INI
 
 
 @pytest.fixture
@@ -113,3 +115,25 @@ class TestFigure:
     def test_unknown_figure(self, capsys):
         with pytest.raises(SystemExit):
             main(["figure", "fig77"])  # argparse rejects the choice
+
+
+@pytest.mark.parametrize("section, key", [
+    ("coil_a", "r0_ohm"), ("coil_a", "l0_h"),
+    ("coil_b", "r0_ohm"), ("coil_b", "l0_h"),
+    ("field", "f_h_hz"), ("field", "f_l_hz"),
+    ("field", "b_h_t"), ("field", "b_l_t"),
+    ("particle", "d_core_m"), ("particle", "d_hydro_m"),
+    ("particle", "m_s_bulk_a_m"),
+])
+def test_missing_required_key_is_config_error(tmp_path, capsys, section, key):
+    # SectionProxy.getfloat returns None for a missing key; none may pass
+    head, header, body = (ROOT / "configs" / "static.ini").read_text() \
+        .partition(f"[{section}]\n")
+    trimmed = re.sub(rf"^{key} = .*\n", "", body, count=1, flags=re.M)
+    assert trimmed != body
+    path = tmp_path / "missing.ini"
+    path.write_text(head + header + trimmed)
+    assert main(["estimate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error category=config" in err
+    assert f"'{key}'" in err and f"[{section}]" in err

@@ -8,8 +8,7 @@ from scipy.integrate import IntegrationWarning, quad
 from mnpthermo import (FieldConfig, ParticleSpec, QuadratureError,
                        SamplingGrid, TimeSeries, equilibrium_magnetization,
                        fourier_coefficients, langevin, magnetization_spectrum,
-                       ode_magnetization, spectral_magnetization, tau_brownian,
-                       xi_parameter)
+                       ode_magnetization, spectral_magnetization, tau_brownian)
 from mnpthermo import magnetization
 from mnpthermo.magnetization import (default_n_max, relax_toward,
                                      transient_periods)
@@ -44,7 +43,7 @@ class TestEquilibriumMagnetization:
 
     def test_superposed_peak(self, particle):
         fld = FieldConfig(6000, 1570, 1e-3, 1e-3)
-        xi_single = xi_parameter(particle, 1e-3, 300.0)
+        xi_single = particle.m_s * 1e-3 / (K_B * 300.0)
         expected = particle.n_conc * particle.m_s * langevin(2 * xi_single)
         assert equilibrium_magnetization(0.0, fld, particle, 300.0) == \
             pytest.approx(expected, rel=1e-12)

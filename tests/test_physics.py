@@ -5,7 +5,7 @@ import pytest
 
 from mnpthermo import (FieldCorrectionModel, ParticleSpec, debye_response,
                        langevin, tau_brownian, tau_effective,
-                       tau_field_corrected, tau_neel, xi_parameter)
+                       tau_field_corrected, tau_neel)
 from mnpthermo.physics import TAU_NEEL_CAP
 
 K_B = 1.380649e-23
@@ -43,28 +43,6 @@ class TestLangevin:
         # L(x) - x/3 = O(x^3)
         for x in (1e-3, 3e-3, 1e-2):
             assert abs(langevin(x) - x / 3.0) < 0.1 * x**3
-
-
-class TestXiParameter:
-    def test_zero_field(self, particle):
-        assert xi_parameter(particle, 0.0, 300.0) == 0.0
-
-    def test_bulk_moment(self, particle):
-        # m_s = M_s_bulk * V_core for a 30 nm core
-        assert particle.m_s == pytest.approx(
-            4.8e5 * math.pi / 6 * (30e-9) ** 3, rel=1e-12)
-        xi = xi_parameter(particle, 1.5e-3, 300.0)
-        oracle = particle.m_s * 1.5e-3 / (K_B * 300.0)
-        assert xi == pytest.approx(oracle, rel=1e-14)
-        assert xi == pytest.approx(2.46, abs=0.005)
-
-    def test_inverse_temperature(self, particle):
-        assert xi_parameter(particle, 1e-3, 600.0) == pytest.approx(
-            0.5 * xi_parameter(particle, 1e-3, 300.0), rel=1e-12)
-
-    def test_rejects_bad_temperature(self, particle):
-        with pytest.raises(ValueError):
-            xi_parameter(particle, 1e-3, 0.0)
 
 
 class TestTauBrownian:
@@ -214,3 +192,8 @@ class TestParticleSpec:
         with pytest.raises(ValueError):
             ParticleSpec(d_core=30e-9, d_hydro=30e-9, k_aniso=-1.0, m_s=1e-18,
                          n_conc=1e20, eta=1e-3)
+
+    def test_bulk_moment(self, particle):
+        # m_s = M_s_bulk * V_core for a 30 nm core
+        assert particle.m_s == pytest.approx(
+            4.8e5 * math.pi / 6 * (30e-9) ** 3, rel=1e-12)

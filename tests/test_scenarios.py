@@ -1,18 +1,24 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mnpthermo import PlanRejection, plan_frequencies
+from mnpthermo import PlanRejection, plan_frequencies, scenarios
 from mnpthermo.errors import ConfigError
-from mnpthermo.scenarios import (AmbientModel, ExperimentResult, PointRecord,
-                                 TemperatureProgram, default_scenario,
-                                 emit_csv, load_scenario, nominal_coil_phase,
-                                 read_result_csv, run_scenario,
-                                 self_calibrate, static_scenario)
+from mnpthermo.estimator import estimate_temperature
+from mnpthermo.scenarios import (STATIC_MATCHED_SNR_DB, AmbientModel,
+                                 ExperimentResult, PointRecord,
+                                 TemperatureProgram, _point_seed,
+                                 cooling_scenario, default_scenario,
+                                 emit_csv, load_scenario, monte_carlo_std,
+                                 nominal_coil_phase, read_result_csv,
+                                 run_scenario, self_calibrate,
+                                 static_scenario)
+from mnpthermo.signal_chain import (NoiseModel, apply_noise,
+                                    simulate_clean_channels)
 
 
 class TestPlanFrequencies:
@@ -124,6 +130,82 @@ class TestRunScenario:
         assert result.summary["n_points"] == 2
         assert result.summary["n_flagged"] == 2
         assert all(not r.ok and math.isnan(r.t_est) for r in result.records)
+
+
+def _estimate(cfg, cal, channels):
+    return estimate_temperature(channels, cfg.plan, cfg.amplifier, cal,
+                                cfg.mode, phi_o=cfg.phi_o,
+                                ref_frequency=cfg.ref_frequency(),
+                                nominal_coil_phase=nominal_coil_phase(cfg))
+
+
+def _per_point_rows(cfg, cal):
+    """Reference loop: fresh clean synthesis at every point, then noise."""
+    noise = NoiseModel(cfg.snr_db, cfg.seed)
+    times = cfg.program.times()
+    rows = []
+    for i, (t, t_true) in enumerate(zip(times,
+                                        cfg.program.temperature(times))):
+        t_true = float(t_true)
+        clean, ref_amp = simulate_clean_channels(
+            cfg.field_config(), cfg.particle, t_true, cfg.chain(),
+            cfg.ambient.ambient(t_true))
+        est = _estimate(cfg, cal, apply_noise(clean, noise, ref_amp,
+                                              _point_seed(cfg.seed, i)))
+        assert est.valid
+        rows.append((float(t), t_true, est.t_est, est.tau_est, est.phi_h,
+                     est.t_est - t_true, True))
+    return rows
+
+
+class TestCleanSynthesisReuse:
+    @pytest.mark.parametrize("kind, syntheses", [("constant", 1),
+                                                 ("cooling", 5)])
+    def test_one_synthesis_per_held_temperature(self, monkeypatch, kind,
+                                                syntheses):
+        cfg = replace(static_scenario(seed=4), program=TemperatureProgram(
+            kind, 316.0, 312.0, 40.0, 5, 30.0))
+        cal = self_calibrate(cfg)
+        calls = []
+        real = scenarios.simulate_clean_channels
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scenarios, "simulate_clean_channels", counted)
+        run_scenario(cfg, cal)
+        assert len(calls) == syntheses
+
+    @pytest.mark.parametrize("cfg", [
+        replace(static_scenario(seed=5), program=TemperatureProgram(
+            "constant", 315.6, 315.6, 5.0, 4)),
+        replace(cooling_scenario(seed=5), program=TemperatureProgram(
+            "cooling", 320.0, 310.0, 60.0, 4, 30.0)),
+        default_scenario(program=TemperatureProgram(
+            "constant", 315.6, 315.6, 5.0, 3)),
+    ], ids=["static-noisy", "cooling-noisy", "constant-noiseless"])
+    def test_records_equal_per_point_synthesis(self, cfg):
+        cal = self_calibrate(cfg)
+        rows = [astuple(r) for r in run_scenario(cfg, cal).records]
+        assert rows == _per_point_rows(cfg, cal)
+
+    def test_monte_carlo_std_unchanged(self):
+        cfg = static_scenario(seed=6)
+        cal = self_calibrate(cfg)
+        t_sample, n_trials = 315.6, 16
+        clean, ref_amp = simulate_clean_channels(
+            cfg.field_config(), cfg.particle, t_sample,
+            cfg.chain(NoiseModel(math.inf, cfg.seed)),
+            cfg.ambient.ambient(t_sample))
+        noise = NoiseModel(STATIC_MATCHED_SNR_DB, cfg.seed)
+        errors = []
+        for j in range(n_trials):
+            est = _estimate(cfg, cal, apply_noise(clean, noise, ref_amp,
+                                                  _point_seed(cfg.seed, 0, j)))
+            errors.append(est.t_est - t_sample)
+        assert monte_carlo_std(cfg, t_sample, STATIC_MATCHED_SNR_DB,
+                               n_trials, cal) == (float(np.std(errors)), 0)
 
 
 class TestCsv:
