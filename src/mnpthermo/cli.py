@@ -34,7 +34,7 @@ def _fmt(x):
 
 def _cmd_plan_freq(args):
     plan = plan_frequencies(args.f_high, args.f_low, args.sample_rate,
-                            args.mains if args.mains > 0 else None)
+                            args.mains)
     header = "f_high_hz,f_low_hz,f_base_hz,f_plus_hz,f_minus_hz,sample_rate_hz"
     row = ",".join(_fmt(v) for v in (plan.f_high, plan.f_low, plan.f_base,
                                      plan.f_plus, plan.f_minus,
@@ -110,8 +110,7 @@ def _cmd_scenario(args):
 
 
 def _cmd_figure(args):
-    table = generate_figure(args.figure_id, seed=args.seed or 0,
-                            trials=args.trials or 200)
+    table = generate_figure(args.figure_id, seed=args.seed, trials=args.trials)
     if args.out:
         table.write_csv(args.out)
     else:
@@ -159,8 +158,8 @@ def _build_parser():
 
     p = sub.add_parser("figure", help="emit a figure-reproduction table")
     p.add_argument("figure_id", choices=FIGURE_IDS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=200)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_figure)
     return parser

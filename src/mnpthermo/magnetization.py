@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .constants import K_BOLTZMANN
 from .errors import QuadratureError
@@ -292,6 +291,10 @@ def relax_toward(drive, tau, h, m_init=0.0):
     drive = np.asarray(drive, dtype=float)
     if drive.size < 3 or drive.size % 2 == 0:
         raise ValueError("drive needs an odd number (>=3) of half-step samples")
+    # Imported here, not at module level: scipy.signal would add ~1 s and
+    # ~65 MB to every import of the package, and only this oracle needs it.
+    from scipy.signal import lfilter
+
     a, b0, bh, b1 = _rk4_relaxation_weights(h / tau)
     u = b0 * drive[0:-2:2] + bh * drive[1:-1:2] + b1 * drive[2::2]
     # M_{k+1} = a*M_k + u_k is a first-order IIR recurrence.

@@ -52,12 +52,16 @@ def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
     """
     for name, v in (("f_high", f_high), ("f_low", f_low),
                     ("sample_rate", sample_rate)):
-        if float(v) != int(v) or v <= 0:
+        if not (v > 0 and float(v).is_integer()):  # also rejects nan, inf
             raise ValueError(f"{name} must be a positive integer (got {v!r})")
+    if mains and not (mains > 0 and float(mains).is_integer()):
+        raise ValueError(f"mains must be a positive integer, or 0 or None "
+                         f"to disable the check (got {mains!r})")
     if f_high <= f_low:
         raise ValueError("need f_high > f_low")
 
     f_high, f_low, sample_rate = int(f_high), int(f_low), int(sample_rate)
+    mains = int(mains) if mains else 0
     f_base = math.gcd(f_high, f_low)
     f_plus = f_high + 2 * f_low
     f_minus = f_high - 2 * f_low
@@ -68,10 +72,10 @@ def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
                           f"(need f_high > 2*f_low)")
     if mains:
         for name, f in (("f_plus", f_plus), ("f_minus", f_minus)):
-            if f > 0 and f % int(mains) == 0:
+            if f > 0 and f % mains == 0:
                 violations.append(
-                    f"{name} = {f} Hz is a multiple of {int(mains)} Hz mains "
-                    f"({f // int(mains)} x {int(mains)})")
+                    f"{name} = {f} Hz is a multiple of {mains} Hz mains "
+                    f"({f // mains} x {mains})")
     if sample_rate < 10 * f_plus:
         violations.append(f"sample_rate {sample_rate} < 10*f_plus = {10 * f_plus}")
     if sample_rate % f_base != 0:
@@ -304,6 +308,8 @@ def monte_carlo_std(cfg: ScenarioConfig, t_sample, snr_db, n_trials=200,
     Channels are synthesized once; each trial adds an independent noise
     stream. Flagged trials are excluded and counted.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1 (got {n_trials!r})")
     if cal is None:
         cal = self_calibrate(cfg)
     draws = ((t_sample, _point_seed(cfg.seed, 0, j)) for j in range(n_trials))
@@ -493,11 +499,10 @@ def _scenario_from_parser(parser):
 
     fs = parser["field"]
     acq = parser["acquisition"] if parser.has_section("acquisition") else {}
-    mains = float(acq.get("mains_hz", 50)) if acq else 50
     plan = plan_frequencies(
-        int(_required_float(fs, "f_h_hz")), int(_required_float(fs, "f_l_hz")),
-        int(float(acq.get("sample_rate_hz", 500000))) if acq else 500000,
-        mains=int(mains) if mains else None,
+        _required_float(fs, "f_h_hz"), _required_float(fs, "f_l_hz"),
+        float(acq.get("sample_rate_hz", 500000)) if acq else 500000,
+        mains=float(acq.get("mains_hz", 50)) if acq else 50,
         window_periods=int(float(acq.get("window_periods", 1))) if acq else 1)
 
     coil_a, coil_b = measured_coils()

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +34,33 @@ class TestPlanFreq:
         out = tmp_path / "plan.csv"
         assert main(["plan-freq", "6000", "1570", "--out", str(out)]) == 0
         assert out.read_text().startswith("f_high_hz,")
+
+    def test_mains_zero_disables(self, capsys):
+        assert main(["plan-freq", "6000", "1500", "--sample-rate", "600000",
+                     "--mains", "0"]) == 0
+
+    def test_negative_mains_is_config_error(self, capsys):
+        # used to skip the mains check and exit 0
+        assert main(["plan-freq", "6000", "1570", "--mains", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "error category=config" in captured.err
+        assert "mains" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("mains_hz = 50", "mains_hz = -5"),
+    ("mains_hz = 50", "mains_hz = 50.5"),  # used to be truncated to 50
+    ("f_h_hz = 6000", "f_h_hz = 6000.5"),
+    ("sample_rate_hz = 500000", "sample_rate_hz = 500000.5"),
+])
+def test_non_integer_plan_in_config_is_config_error(tmp_path, capsys, old,
+                                                    new):
+    path = tmp_path / "plan.ini"
+    path.write_text(SCENARIO_INI.replace(old, new))
+    assert main(["scenario", "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error category=config" in err
+    assert new.split()[-1] in err
 
 
 class TestEstimate:
@@ -115,6 +145,25 @@ class TestFigure:
     def test_unknown_figure(self, capsys):
         with pytest.raises(SystemExit):
             main(["figure", "fig77"])  # argparse rejects the choice
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_config_error(self, capsys, trials):
+        # 0 used to run the default 200 trials; -3 exited 4 ("all flagged")
+        assert main(["figure", "fig1", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "error category=config" in captured.err
+        assert f"n_trials must be at least 1 (got {trials})" in captured.err
+        assert captured.out == ""
+
+
+def test_import_loads_no_scipy():
+    # scipy.signal took ~1 s of every CLI start; only the RK4 oracle needs it
+    probe = ("import sys, mnpthermo, mnpthermo.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("section, key", [

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnpthermo import PlanRejection, plan_frequencies, scenarios
 from mnpthermo.errors import ConfigError
@@ -60,6 +62,45 @@ class TestPlanFrequencies:
     def test_mains_disable(self):
         plan = plan_frequencies(6000, 1500, 600000, None)
         assert plan.f_plus == 9000.0
+
+    def test_mains_zero_disables(self):
+        assert plan_frequencies(6000, 1500, 600000, 0).f_plus == 9000.0
+
+    @pytest.mark.parametrize("mains", [-5, -50, 50.5, math.nan, math.inf])
+    def test_bad_mains_rejected(self, mains):
+        # -5 used to skip the check and 50.5 to be truncated to 50
+        with pytest.raises(ValueError, match="mains must be a positive"):
+            plan_frequencies(6000, 1570, 500000, mains)
+
+    @pytest.mark.parametrize("name", ["f_high", "f_low", "sample_rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, bad):
+        args = dict(f_high=6000, f_low=1570, sample_rate=500000)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be a positive"):
+            plan_frequencies(**args)
+
+
+@settings(derandomize=True, database=None, max_examples=300,
+          deadline=None)
+@given(f_low=st.integers(-2, 3000), f_minus=st.integers(-3000, 10000),
+       oversample=st.integers(-1, 40), jitter=st.integers(-5, 5),
+       mains=st.integers(-2, 100))
+def test_plan_properties(f_low, f_minus, oversample, jitter, mains):
+    # Drawn through f_minus and sample_rate/f_plus so that every outcome
+    # (accepted, each violation, each ValueError) is common.
+    f_high = 2 * f_low + f_minus
+    sample_rate = oversample * (f_high + 2 * f_low) + jitter
+    try:
+        plan = plan_frequencies(f_high, f_low, sample_rate, mains)
+    except (PlanRejection, ValueError):
+        return
+    assert plan.f_minus > 0
+    assert plan.f_plus % plan.f_base == 0 and plan.f_minus % plan.f_base == 0
+    if mains:
+        assert plan.f_plus % mains != 0 and plan.f_minus % mains != 0
+    assert plan.sample_rate >= 10 * plan.f_plus
+    assert plan.sample_rate % plan.f_base == 0
 
 
 class TestTemperatureProgram:
@@ -206,6 +247,12 @@ class TestCleanSynthesisReuse:
             errors.append(est.t_est - t_sample)
         assert monte_carlo_std(cfg, t_sample, STATIC_MATCHED_SNR_DB,
                                n_trials, cal) == (float(np.std(errors)), 0)
+
+
+@pytest.mark.parametrize("n_trials", [0, -3])
+def test_monte_carlo_std_needs_a_trial(n_trials):
+    with pytest.raises(ValueError, match="n_trials must be at least 1"):
+        monte_carlo_std(static_scenario(), 315.6, 40.0, n_trials)
 
 
 class TestCsv:
