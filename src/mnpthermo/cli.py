@@ -13,9 +13,8 @@ from dataclasses import replace
 from .errors import ConfigError, EstimationError, PlanRejection
 from .estimator import estimate_temperature
 from .figures import FIGURE_IDS, generate_figure
-from .scenarios import (emit_csv, load_scenario, nominal_coil_phase,
-                        plan_frequencies, result_csv_lines, run_scenario,
-                        self_calibrate)
+from .scenarios import (load_scenario, nominal_coil_phase, plan_frequencies,
+                        result_csv_lines, run_scenario, self_calibrate)
 from .signal_chain import NoiseModel, apply_noise, simulate_clean_channels
 
 
@@ -101,23 +100,13 @@ def _cmd_scenario(args):
     cfg = _prepared(args)
     if args.trials is not None:
         cfg = replace(cfg, program=replace(cfg.program, n_points=args.trials))
-    result = run_scenario(cfg)
-    if args.out:
-        emit_csv(result, args.out)
-    else:
-        _write_lines(result_csv_lines(result), None)
+    _write_lines(result_csv_lines(run_scenario(cfg)), args.out)
     return 0
 
 
 def _cmd_figure(args):
     table = generate_figure(args.figure_id, seed=args.seed, trials=args.trials)
-    if args.out:
-        table.write_csv(args.out)
-    else:
-        lines = [",".join(table.header)]
-        lines += [",".join(_fmt(v) for v in row) for row in table.rows]
-        lines += [f"# {k}={v}" for k, v in table.meta.items()]
-        _write_lines(lines, None)
+    _write_lines(table.csv_lines(), args.out)
     return 0
 
 

@@ -32,17 +32,13 @@ class FigureTable:
     rows: list
     meta: dict = field(default_factory=dict)
 
-    def write_csv(self, path):
+    def csv_lines(self):
+        """Header, rows (floats to 17 digits) and `# key=value` meta lines."""
         lines = [",".join(self.header)]
         lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
                            for v in row) for row in self.rows]
-        for k, v in self.meta.items():
-            lines.append(f"# {k}={v}")
-        try:
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise OSError(f"writing {path}: {exc}") from exc
+        lines += [f"# {k}={v}" for k, v in self.meta.items()]
+        return lines
 
 
 def generate_figure(figure_id, seed=0, trials=200) -> FigureTable:

@@ -177,7 +177,7 @@ class HarmonicSet:
 
 def equilibrium_magnetization(t, fld: FieldConfig, p: ParticleSpec, temperature):
     """Equilibrium magnetization M0(t) = N * m_s * L(xi(t)), A/m."""
-    if temperature <= 0:
+    if not temperature > 0:  # also rejects nan
         raise ValueError("temperature must be positive")
     xi_t = p.m_s * fld.b_field(t) / (K_BOLTZMANN * temperature)
     return p.n_conc * p.m_s * langevin(xi_t)

@@ -14,10 +14,10 @@ import numpy as np
 from .errors import ConfigError, EstimationError, PlanRejection
 from .estimator import (CalibrationModel, calibrate, estimate_tau,
                         estimate_temperature)
-from .magnetization import FieldConfig
+from .magnetization import FieldConfig, SamplingGrid
 from .physics import ParticleSpec
-from .signal_chain import (AcquisitionConfig, AmplifierModel, CoilParams,
-                           NoiseModel, SignalChainConfig, coil_transfer,
+from .signal_chain import (AmplifierModel, CoilParams, NoiseModel,
+                           SignalChainConfig, coil_transfer,
                            simulate_clean_channels, apply_noise)
 
 # Noise level that reproduces the published static-run spread
@@ -45,13 +45,14 @@ def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
     """Validate a two-tone plan; raises PlanRejection listing every
     violated constraint. mains=None or 0 disables the mains check.
 
-    Inputs must be positive integer hertz (commensurability by
-    construction); violations cover the mixing-line positivity, mains
-    collisions on both mixing lines, the Nyquist margin and the
-    rate/base-frequency divisibility.
+    Frequencies must be positive integer hertz (commensurability by
+    construction) and window_periods a positive integer; violations
+    cover the mixing-line positivity, mains collisions on both mixing
+    lines, the Nyquist margin and the rate/base-frequency divisibility.
     """
     for name, v in (("f_high", f_high), ("f_low", f_low),
-                    ("sample_rate", sample_rate)):
+                    ("sample_rate", sample_rate),
+                    ("window_periods", window_periods)):
         if not (v > 0 and float(v).is_integer()):  # also rejects nan, inf
             raise ValueError(f"{name} must be a positive integer (got {v!r})")
     if mains and not (mains > 0 and float(mains).is_integer()):
@@ -155,16 +156,19 @@ class ScenarioConfig:
     cal_temperatures: tuple = (315.0,)
     cal_kind: str = "one_point"
 
+    def __post_init__(self):
+        if self.ref_policy not in ("excitation", "line"):
+            raise ConfigError(f"unknown ref_policy {self.ref_policy!r}; "
+                              f"choose excitation or line")
+
     def field_config(self):
         return FieldConfig(self.plan.f_high, self.plan.f_low,
                            self.b_high, self.b_low)
 
-    def chain(self, noise: NoiseModel | None = None):
-        acq = AcquisitionConfig(self.plan.sample_rate, self.plan.window_periods)
-        return SignalChainConfig(
-            self.coil_a, self.coil_b, self.amplifier,
-            noise if noise is not None else NoiseModel(self.snr_db, self.seed),
-            acq, self.phi_o, self.phase_model)
+    def chain(self):
+        grid = SamplingGrid(self.plan.sample_rate, self.plan.window_periods)
+        return SignalChainConfig(self.coil_a, self.coil_b, self.amplifier,
+                                 grid, self.phi_o, self.phase_model)
 
     def ref_frequency(self):
         return None if self.ref_policy == "line" else self.plan.f_high
@@ -226,7 +230,7 @@ def self_calibrate(cfg: ScenarioConfig) -> CalibrationModel:
     slowly-varying pipeline bias is absorbed by the fit.
     """
     fld = cfg.field_config()
-    chain = cfg.chain(NoiseModel(math.inf, cfg.seed))
+    chain = cfg.chain()
     nom = nominal_coil_phase(cfg)
     points = []
     for t_ref in cfg.cal_temperatures:
@@ -407,35 +411,88 @@ def cooling_scenario(seed=0, snr_db=STATIC_MATCHED_SNR_DB):
 
 # --- config file parsing --------------------------------------------------
 
-_REQUIRED_SECTIONS = ("particle", "field")
+def _number(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
-# Every section and key the README documents; anything else is a typo.
-_COIL_KEYS = ("r0_ohm", "l0_h", "alpha_r_per_k", "alpha_l_per_k", "t_ref_k",
-              "coupling")
-_KNOWN_KEYS = {
-    "particle": ("d_core_m", "d_hydro_m", "k_aniso_j_m3", "m_s_bulk_a_m",
-                 "m_s_am2", "n_conc_m3", "eta_pa_s", "tau_0_s"),
-    "field": ("f_h_hz", "f_l_hz", "b_h_t", "b_l_t"),
-    "acquisition": ("sample_rate_hz", "window_periods", "mains_hz"),
-    "coil_a": _COIL_KEYS,
-    "coil_b": _COIL_KEYS,
-    "amplifier": ("gain", "table_path"),
-    "noise": ("snr_db", "seed"),
-    "temperature": ("program", "t_start_k", "t_end_k", "duration_s", "points",
-                    "time_constant_s", "ambient_t_k", "ambient_coupling",
-                    "ambient_sample_ref_k"),
-    "calibration": ("kind", "temperatures_k"),
-    "estimator": ("mode", "ref_policy", "phi_o_rad", "phase_model"),
+
+def _integer(text):
+    value = _number(text)
+    if not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _snr_db(text):
+    # inf, or no value, disables noise
+    return math.inf if text == "" or float(text) == math.inf else _number(text)
+
+
+def _temperatures(text):
+    values = tuple(_number(x) for x in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("needs at least one temperature")
+    return values
+
+
+_COIL = (("r0_ohm", "l0_h"), {
+    "r0_ohm": ("r0", _number), "l0_h": ("l0", _number),
+    "alpha_r_per_k": ("alpha_r", _number),
+    "alpha_l_per_k": ("alpha_l", _number),
+    "t_ref_k": ("t_ref", _number), "coupling": ("coupling", _number)})
+_AMBIENT = {"ambient_t_k": ("t_base", _number),
+            "ambient_coupling": ("coupling", _number),
+            "ambient_sample_ref_k": ("t_sample_ref", _number)}
+
+# Every section the README documents: its required keys, and for each key
+# the keyword it feeds and the converter of its text. Anything else is a
+# typo; a key a file leaves out takes the default of what it feeds.
+_SECTIONS = {
+    "particle": (("d_core_m", "d_hydro_m"), {
+        "d_core_m": ("d_core", _number), "d_hydro_m": ("d_hydro", _number),
+        "k_aniso_j_m3": ("k_aniso", _number),
+        "m_s_bulk_a_m": ("m_s_bulk", _number), "m_s_am2": ("m_s", _number),
+        "n_conc_m3": ("n_conc", _number), "eta_pa_s": ("eta", _number),
+        "tau_0_s": ("tau_0", _number)}),
+    "field": (("f_h_hz", "f_l_hz", "b_h_t", "b_l_t"), {
+        "f_h_hz": ("f_high", _number), "f_l_hz": ("f_low", _number),
+        "b_h_t": ("b_high", _number), "b_l_t": ("b_low", _number)}),
+    "acquisition": ((), {
+        "sample_rate_hz": ("sample_rate", _number),
+        "window_periods": ("window_periods", _number),
+        "mains_hz": ("mains", _number)}),
+    "coil_a": _COIL,
+    "coil_b": _COIL,
+    "amplifier": ((), {"gain": ("gain", _number),
+                       "table_path": ("path", str)}),
+    "noise": ((), {"snr_db": ("snr_db", _snr_db),
+                   "seed": ("seed", _integer)}),
+    "temperature": ((), {
+        "program": ("kind", str), "t_start_k": ("t_start", _number),
+        "t_end_k": ("t_end", _number), "duration_s": ("duration", _number),
+        "points": ("n_points", _integer),
+        "time_constant_s": ("time_constant", _number), **_AMBIENT}),
+    "calibration": ((), {
+        "kind": ("cal_kind", str),
+        "temperatures_k": ("cal_temperatures", _temperatures)}),
+    "estimator": ((), {
+        "mode": ("mode", str), "ref_policy": ("ref_policy", str),
+        "phi_o_rad": ("phi_o", _number), "phase_model": ("phase_model", str)}),
 }
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Read a key = value scenario file (INI sections; see README).
 
-    Keys are case-sensitive; an undocumented section or key raises
-    ConfigError naming it.
+    Keys are case-sensitive; an undocumented section or key, a missing
+    required key and a value its key cannot take raise ConfigError naming
+    them.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal: a '%' in a path is not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     parser.optionxform = str
     try:
         with open(path) as fh:
@@ -446,121 +503,75 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"bad scenario syntax in {path}: {exc}") from exc
     try:
         return _scenario_from_parser(parser)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad scenario {path}: {exc}") from exc
 
 
-def _required_float(sec, key):
-    # SectionProxy.getfloat returns None for a missing key
-    if key not in sec:
-        raise ConfigError(f"missing key {key!r} in [{sec.name}]")
-    return sec.getfloat(key)
-
-
-def _coil_from_section(sec):
-    return CoilParams(r0=_required_float(sec, "r0_ohm"),
-                      l0=_required_float(sec, "l0_h"),
-                      alpha_r=sec.getfloat("alpha_r_per_k", 3.9e-3),
-                      t_ref=sec.getfloat("t_ref_k", 300.0),
-                      coupling=sec.getfloat("coupling", 1e-8),
-                      alpha_l=sec.getfloat("alpha_l_per_k", 0.0))
-
-
-def _check_known_keys(parser):
-    # [DEFAULT] goes first: its keys would otherwise show up in every section
-    known = {parser.default_section: (), **_KNOWN_KEYS}
-    for name in (parser.default_section, *parser.sections()):
-        if name not in known:
-            raise ConfigError(f"unknown section [{name}]")
-        for key in parser[name]:
-            if key not in known[name]:
-                raise ConfigError(f"unknown key {key!r} in [{name}]")
+def _section(parser, name):
+    """Keyword arguments from the keys that section `name` gives."""
+    required, table = _SECTIONS[name]
+    sec = parser[name] if parser.has_section(name) else {}
+    unknown = [key for key in sec if key not in table]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]")
+    missing = [key for key in required if key not in sec]
+    if missing:
+        raise ConfigError(f"missing key {missing[0]!r} in [{name}]")
+    values = {}
+    for key, text in sec.items():
+        keyword, convert = table[key]
+        try:
+            values[keyword] = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {text!r} for {key!r} in [{name}]: "
+                              f"{exc}") from exc
+    return values
 
 
 def _scenario_from_parser(parser):
-    _check_known_keys(parser)
-    for name in _REQUIRED_SECTIONS:
-        if not parser.has_section(name):
-            raise ConfigError(f"missing [{name}] section")
-    ps = parser["particle"]
-    common = dict(d_core=_required_float(ps, "d_core_m"),
-                  d_hydro=_required_float(ps, "d_hydro_m"),
-                  k_aniso=ps.getfloat("k_aniso_j_m3", 20e3),
-                  n_conc=ps.getfloat("n_conc_m3", 1e20),
-                  eta=ps.getfloat("eta_pa_s", 1e-3),
-                  tau_0=ps.getfloat("tau_0_s", 1e-9))
-    if "m_s_bulk_a_m" in ps:
-        particle = ParticleSpec.from_bulk_magnetization(
-            m_s_bulk=ps.getfloat("m_s_bulk_a_m"), **common)
-    elif "m_s_am2" in ps:
-        particle = ParticleSpec(m_s=ps.getfloat("m_s_am2"), **common)
-    else:
-        raise ConfigError("missing key 'm_s_bulk_a_m' or 'm_s_am2' in [particle]")
+    # [DEFAULT] keys would otherwise show up in every section
+    stray = ([f"key {key!r} in [{parser.default_section}]"
+              for key in parser.defaults()]
+             + [f"section [{name}]" for name in parser.sections()
+                if name not in _SECTIONS])
+    if stray:
+        raise ConfigError(f"unknown {stray[0]}")
 
-    fs = parser["field"]
-    acq = parser["acquisition"] if parser.has_section("acquisition") else {}
-    plan = plan_frequencies(
-        _required_float(fs, "f_h_hz"), _required_float(fs, "f_l_hz"),
-        float(acq.get("sample_rate_hz", 500000)) if acq else 500000,
-        mains=float(acq.get("mains_hz", 50)) if acq else 50,
-        window_periods=int(float(acq.get("window_periods", 1))) if acq else 1)
+    particle = {name: getattr(default_particle(), name)
+                for name in ("k_aniso", "n_conc", "eta", "tau_0")}
+    particle.update(_section(parser, "particle"))
+    if ("m_s_bulk" in particle) == ("m_s" in particle):
+        raise ConfigError("[particle] needs one of 'm_s_bulk_a_m' and "
+                          "'m_s_am2'")
+    make_particle = (ParticleSpec.from_bulk_magnetization
+                     if "m_s_bulk" in particle else ParticleSpec)
 
-    coil_a, coil_b = measured_coils()
-    if parser.has_section("coil_a"):
-        coil_a = _coil_from_section(parser["coil_a"])
-    if parser.has_section("coil_b"):
-        coil_b = _coil_from_section(parser["coil_b"])
+    field = _section(parser, "field")
+    plan = plan_frequencies(field.pop("f_high"), field.pop("f_low"),
+                            **_section(parser, "acquisition"))
 
-    amplifier = AmplifierModel.default()
-    if parser.has_section("amplifier"):
-        amp_sec = parser["amplifier"]
-        gain = amp_sec.getfloat("gain", 1000.0)
-        if amp_sec.get("table_path"):
-            amplifier = AmplifierModel.from_table_file(amp_sec["table_path"], gain)
-        else:
-            amplifier = AmplifierModel.default(gain)
+    coil_a, coil_b = (
+        CoilParams(**_section(parser, name)) if parser.has_section(name)
+        else coil
+        for name, coil in zip(("coil_a", "coil_b"), measured_coils()))
 
-    noise_sec = parser["noise"] if parser.has_section("noise") else {}
-    snr_raw = noise_sec.get("snr_db", "inf") if noise_sec else "inf"
-    snr_db = math.inf if snr_raw in ("inf", "") else float(snr_raw)
-    seed = int(float(noise_sec.get("seed", 0))) if noise_sec else 0
+    amp = _section(parser, "amplifier")
+    table_path = amp.pop("path", "")
+    amplifier = (AmplifierModel.from_table_file(table_path, **amp)
+                 if table_path else AmplifierModel.default(**amp))
 
-    prog = TemperatureProgram()
-    amb = AmbientModel()
-    if parser.has_section("temperature"):
-        tsec = parser["temperature"]
-        prog = TemperatureProgram(
-            kind=tsec.get("program", "constant"),
-            t_start=tsec.getfloat("t_start_k", 315.6),
-            t_end=tsec.getfloat("t_end_k", tsec.getfloat("t_start_k", 315.6)),
-            duration=tsec.getfloat("duration_s", 120.0),
-            n_points=tsec.getint("points", 120),
-            time_constant=tsec.getfloat("time_constant_s", 180.0))
-        amb = AmbientModel(t_base=tsec.getfloat("ambient_t_k", 300.0),
-                           coupling=tsec.getfloat("ambient_coupling", 0.0),
-                           t_sample_ref=tsec.getfloat("ambient_sample_ref_k", 315.0))
+    program = _section(parser, "temperature")
+    ambient = {kw: program.pop(kw) for kw, _ in _AMBIENT.values()
+               if kw in program}
+    if "t_start" in program:
+        program.setdefault("t_end", program["t_start"])
 
-    cal_temps = (315.0,)
-    cal_kind = "one_point"
-    if parser.has_section("calibration"):
-        csec = parser["calibration"]
-        cal_kind = csec.get("kind", "one_point")
-        if csec.get("temperatures_k"):
-            cal_temps = tuple(float(x) for x in
-                              csec["temperatures_k"].replace(",", " ").split())
-
-    est = parser["estimator"] if parser.has_section("estimator") else {}
     return ScenarioConfig(
-        particle=particle, plan=plan,
-        b_high=_required_float(fs, "b_h_t"), b_low=_required_float(fs, "b_l_t"),
+        particle=make_particle(**particle), plan=plan,
         coil_a=coil_a, coil_b=coil_b, amplifier=amplifier,
-        snr_db=snr_db, seed=seed,
-        phi_o=float(est.get("phi_o_rad", 0.0)) if est else 0.0,
-        phase_model=est.get("phase_model", "debye") if est else "debye",
-        mode=est.get("mode", "mixing") if est else "mixing",
-        ref_policy=est.get("ref_policy", "excitation") if est else "excitation",
-        program=prog, ambient=amb,
-        cal_temperatures=cal_temps, cal_kind=cal_kind)
+        program=TemperatureProgram(**program), ambient=AmbientModel(**ambient),
+        **field, **_section(parser, "noise"),
+        **_section(parser, "calibration"), **_section(parser, "estimator"))
 
 
 # --- CSV emission ---------------------------------------------------------
@@ -603,24 +614,3 @@ def emit_csv(result: ExperimentResult, path) -> None:
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
 
-
-def read_result_csv(path) -> ExperimentResult:
-    """Parse a file written by emit_csv (summary comment ignored)."""
-    records = []
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != ",".join(RESULT_COLUMNS):
-                raise ConfigError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                records.append(PointRecord(
-                    float(parts[0]), float(parts[1]), float(parts[2]),
-                    float(parts[3]), float(parts[4]), float(parts[5]),
-                    parts[6] == "1"))
-    except OSError as exc:
-        raise OSError(f"reading {path}: {exc}") from exc
-    return ExperimentResult(records, ExperimentResult.summarize(records))

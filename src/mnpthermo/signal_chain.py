@@ -181,25 +181,13 @@ def add_noise(ts: TimeSeries, noise: NoiseModel, reference_amplitude=None,
 
 
 @dataclass(frozen=True)
-class AcquisitionConfig:
-    """Digitizer settings: shared rate and window for all channels."""
-
-    sample_rate: float = 500000.0
-    window_periods: int = 1
-
-    def grid(self):
-        return SamplingGrid(self.sample_rate, self.window_periods)
-
-
-@dataclass(frozen=True)
 class SignalChainConfig:
     """Everything between M(t) and the digitized channels."""
 
     coil_a: CoilParams
     coil_b: CoilParams
     amplifier: AmplifierModel
-    noise: NoiseModel = NoiseModel()
-    acquisition: AcquisitionConfig = AcquisitionConfig()
+    grid: SamplingGrid            # digitizer rate and window, all channels
     phi_o: float = 0.0            # excitation feedthrough phase (rad)
     phase_model: str = "debye"    # "debye" | "composed"
 
@@ -222,7 +210,6 @@ class MeasurementChannels:
     diff_sample: TimeSeries
     ref_a: TimeSeries
     f_base: float
-    acquisition: AcquisitionConfig
 
     def __post_init__(self):
         series = (self.diff_background, self.diff_sample, self.ref_a)
@@ -345,7 +332,7 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
     channel also receives feedthrough-structured lines at the analysis
     bins.
     """
-    grid = chain.acquisition.grid()
+    grid = chain.grid
     f_base = fld.f_base
 
     tau = relaxation_time(p, t_sample)
@@ -371,8 +358,7 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
                               f_base)
     ref_a = _synthesize(ref_lines, grid, f_base)
 
-    channels = MeasurementChannels(diff_background, diff_sample, ref_a,
-                                   f_base, chain.acquisition)
+    channels = MeasurementChannels(diff_background, diff_sample, ref_a, f_base)
     reference_amplitude = max((a for _, a, _ in sample_amplified), default=0.0)
     return channels, reference_amplitude
 
@@ -388,6 +374,5 @@ def apply_noise(channels: MeasurementChannels, noise: NoiseModel,
     noisy = [add_noise(ts, noise, reference_amplitude, np.random.default_rng(k))
              for ts, k in zip((channels.diff_background, channels.diff_sample,
                                channels.ref_a), keys)]
-    return MeasurementChannels(noisy[0], noisy[1], noisy[2],
-                               channels.f_base, channels.acquisition)
+    return MeasurementChannels(noisy[0], noisy[1], noisy[2], channels.f_base)
 

@@ -52,6 +52,9 @@ class TestPlanFreq:
     ("mains_hz = 50", "mains_hz = 50.5"),  # used to be truncated to 50
     ("f_h_hz = 6000", "f_h_hz = 6000.5"),
     ("sample_rate_hz = 500000", "sample_rate_hz = 500000.5"),
+    ("window_periods = 1", "window_periods = 1.5"),  # used to run as 1
+    ("seed = 3", "seed = 7.5"),  # used to run as 7
+    ("points = 2", "points = 2.5"),
 ])
 def test_non_integer_plan_in_config_is_config_error(tmp_path, capsys, old,
                                                     new):
@@ -61,6 +64,45 @@ def test_non_integer_plan_in_config_is_config_error(tmp_path, capsys, old,
     err = capsys.readouterr().err
     assert "error category=config" in err
     assert new.split()[-1] in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("t_start_k = 315.6", "t_start_k = nan"),
+    ("t_start_k = 315.6", "t_start_k = inf"),
+    ("b_h_t = 0.36e-3", "b_h_t = nan"),
+    ("temperatures_k = 310 315 320", "temperatures_k = 310 nan 320"),
+    ("duration_s = 120", "duration_s = nan"),
+    ("snr_db = 92.3", "snr_db = nan"),
+    ("snr_db = 92.3", "snr_db = -inf"),
+    ("eta_pa_s = 1e-3", "eta_pa_s = nan"),
+    ("r0_ohm = 10.4177", "r0_ohm = nan"),
+    ("ref_policy = excitation", "ref_policy = excitation\nphi_o_rad = nan"),
+    ("ambient_coupling = 0.02", "ambient_coupling = -inf"),
+])
+def test_non_finite_number_in_config_is_config_error(tmp_path, capsys, old,
+                                                     new):
+    # each used to run: to a quadrature traceback, nan rows, every row
+    # flagged, or an estimation failure
+    path = tmp_path / "nonfinite.ini"
+    path.write_text((ROOT / "configs" / "static.ini").read_text()
+                    .replace(old, new, 1))
+    assert main(["scenario", "run", str(path)]) == 2
+    captured = capsys.readouterr()
+    key = new.splitlines()[-1].split()[0]
+    assert "error category=config" in captured.err
+    assert f"{key!r}" in captured.err and "not a finite number" in captured.err
+    assert captured.out == ""
+
+
+def test_unknown_ref_policy_is_config_error(tmp_path, capsys):
+    # a typo used to run as "excitation"
+    path = tmp_path / "policy.ini"
+    path.write_text(SCENARIO_INI.replace("ref_policy = excitation",
+                                         "ref_policy = lines"))
+    assert main(["scenario", "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error category=config" in err
+    assert "ref_policy 'lines'" in err
 
 
 class TestEstimate:
@@ -128,6 +170,18 @@ class TestScenario:
         lines = capsys.readouterr().out.strip().splitlines()
         row = lines[1].split(",")
         assert row[-1] == "1"  # valid estimate in single mode too
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig4"],
+    ["scenario", "run", "SCENARIO", "--trials", "2"],
+])
+def test_out_file_equals_stdout(scenario_file, tmp_path, capsys, argv):
+    argv = [scenario_file if a == "SCENARIO" else a for a in argv]
+    assert main(argv) == 0
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 class TestFigure:

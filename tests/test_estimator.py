@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mnpthermo import (AcquisitionConfig, AmplifierModel, CalibrationModel,
-                       EstimationError, FieldConfig, MeasurementChannels,
-                       SamplingGrid, TimeSeries, calibrate, extract_phasor,
+from mnpthermo import (AmplifierModel, CalibrationModel, EstimationError,
+                       FieldConfig, MeasurementChannels, SamplingGrid,
+                       TimeSeries, calibrate, extract_phasor,
                        estimate_temperature, phi_h_from_mixing, sample_phase,
                        tau_brownian, tau_from_phase)
 from mnpthermo.estimator import wrap_phase
@@ -89,8 +89,7 @@ def synthetic_channels(phi_s_by_freq, phi_o=0.0, coil_b=None,
                      fld.f_base)
     ds = TimeSeries(grid.sample_rate, bg.samples + sw.samples)
     ref_ts = _synthesize(ref, grid, fld.f_base)
-    return MeasurementChannels(bg, ds, ref_ts, fld.f_base,
-                               AcquisitionConfig(grid.sample_rate, 1))
+    return MeasurementChannels(bg, ds, ref_ts, fld.f_base)
 
 
 class TestSamplePhase:

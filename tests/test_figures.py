@@ -100,10 +100,8 @@ class TestErrorVsSnr:
         slope = np.polyfit(np.log10(amp_ratio), np.log10(stds), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.3)
 
-    def test_csv_write(self, tmp_path):
+    def test_csv_lines(self):
         table = figure_error_vs_snr(snr_points=(40.0,), trials=30, seed=1)
-        path = tmp_path / "fig1.csv"
-        table.write_csv(path)
-        text = path.read_text()
-        assert text.startswith("snr_db,")
-        assert "# trials=30" in text
+        lines = table.csv_lines()
+        assert lines[0].startswith("snr_db,")
+        assert "# trials=30" in lines

@@ -62,6 +62,14 @@ class TestEquilibriumMagnetization:
         m_t = equilibrium_magnetization(t, operating_field, particle, 300.0)
         assert np.max(np.abs(m_t)) < particle.n_conc * particle.m_s
 
+    @pytest.mark.parametrize("temperature", [0.0, -300.0, math.nan])
+    def test_non_positive_temperature_rejected(self, particle,
+                                               operating_field, temperature):
+        # nan used to pass and fail only after every quadrature doubling
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            equilibrium_magnetization(0.0, operating_field, particle,
+                                      temperature)
+
 
 class TestFourierCoefficients:
     def test_default_n_max(self, operating_field):

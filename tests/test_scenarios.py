@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from mnpthermo import PlanRejection, plan_frequencies, scenarios
 from mnpthermo.errors import ConfigError
 from mnpthermo.estimator import estimate_temperature
-from mnpthermo.scenarios import (STATIC_MATCHED_SNR_DB, AmbientModel,
-                                 ExperimentResult, PointRecord,
-                                 TemperatureProgram, _point_seed,
-                                 cooling_scenario, default_scenario,
-                                 emit_csv, load_scenario, monte_carlo_std,
-                                 nominal_coil_phase, read_result_csv,
+from mnpthermo.scenarios import (RESULT_COLUMNS, STATIC_MATCHED_SNR_DB,
+                                 AmbientModel, ExperimentResult, PointRecord,
+                                 ScenarioConfig, TemperatureProgram,
+                                 _point_seed, cooling_scenario,
+                                 default_scenario, emit_csv, load_scenario,
+                                 monte_carlo_std, nominal_coil_phase,
                                  run_scenario, self_calibrate,
                                  static_scenario)
 from mnpthermo.signal_chain import (NoiseModel, apply_noise,
@@ -236,8 +236,7 @@ class TestCleanSynthesisReuse:
         cal = self_calibrate(cfg)
         t_sample, n_trials = 315.6, 16
         clean, ref_amp = simulate_clean_channels(
-            cfg.field_config(), cfg.particle, t_sample,
-            cfg.chain(NoiseModel(math.inf, cfg.seed)),
+            cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
             cfg.ambient.ambient(t_sample))
         noise = NoiseModel(STATIC_MATCHED_SNR_DB, cfg.seed)
         errors = []
@@ -253,6 +252,17 @@ class TestCleanSynthesisReuse:
 def test_monte_carlo_std_needs_a_trial(n_trials):
     with pytest.raises(ValueError, match="n_trials must be at least 1"):
         monte_carlo_std(static_scenario(), 315.6, 40.0, n_trials)
+
+
+def read_result_csv(path) -> ExperimentResult:
+    """Parse a file written by emit_csv (summary comment ignored)."""
+    with open(path) as fh:
+        assert fh.readline().strip() == ",".join(RESULT_COLUMNS)
+        rows = [line.strip().split(",") for line in fh
+                if line.strip() and not line.startswith("#")]
+    records = [PointRecord(*(float(v) for v in row[:6]), row[6] == "1")
+               for row in rows]
+    return ExperimentResult(records, ExperimentResult.summarize(records))
 
 
 class TestCsv:
@@ -348,6 +358,17 @@ ref_policy = excitation
 """
 
 
+def assert_same_scenario(a, b):
+    """Field-by-field equality; amplifier tables compare as arrays."""
+    for f in fields(ScenarioConfig):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "amplifier":
+            for column in ("frequencies", "phases", "gains"):
+                assert np.array_equal(getattr(x, column), getattr(y, column))
+        else:
+            assert x == y, f.name
+
+
 class TestConfigFile:
     def test_load_and_run(self, tmp_path):
         path = tmp_path / "scenario.ini"
@@ -374,6 +395,54 @@ class TestConfigFile:
     @pytest.mark.parametrize("name", ["static.ini", "cooling.ini"])
     def test_shipped_configs_load(self, name):
         assert load_scenario(ROOT / "configs" / name).snr_db == 92.3
+
+    @pytest.mark.parametrize("name, factory", [
+        ("static.ini", static_scenario), ("cooling.ini", cooling_scenario)])
+    def test_shipped_configs_equal_factories(self, name, factory):
+        # the acceptance tests run the factories, the CLI and the
+        # benchmark run the files: one experiment
+        assert_same_scenario(load_scenario(ROOT / "configs" / name),
+                             factory())
+
+    def test_empty_snr_disables_noise(self, tmp_path):
+        path = tmp_path / "snr.ini"
+        path.write_text(SCENARIO_INI.replace("snr_db = inf", "snr_db ="))
+        assert load_scenario(path).snr_db == math.inf
+
+    def test_integral_integers_accepted(self, tmp_path):
+        # points = 2.0 used to be a config error; seed was truncated
+        path = tmp_path / "integral.ini"
+        path.write_text(SCENARIO_INI.replace("seed = 3", "seed = 3.0")
+                        .replace("points = 2", "points = 2.0"))
+        cfg = load_scenario(path)
+        assert cfg.seed == 3 and cfg.program.n_points == 2
+        assert isinstance(cfg.seed, int)
+
+    def test_omitted_keys_take_the_readme_values(self, tmp_path):
+        # only the required keys, and the README block of every key,
+        # both load as the default scenario
+        minimal = tmp_path / "minimal.ini"
+        minimal.write_text(SCENARIO_INI.split("[acquisition]")[0])
+        block = tmp_path / "readme.ini"
+        readme = (ROOT / "README.md").read_text()
+        block.write_text(readme.split("```ini\n")[1].split("```")[0])
+        assert_same_scenario(load_scenario(minimal), default_scenario())
+        assert_same_scenario(load_scenario(block), default_scenario())
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        # '%' used to raise configparser's InterpolationSyntaxError, exit 1
+        table = tmp_path / "amp%1.txt"
+        table.write_text("0 0 500\n200000 -20 500\n")
+        path = tmp_path / "pct.ini"
+        path.write_text(f"{SCENARIO_INI}\n[amplifier]\n"
+                        f"table_path = {table}\n")
+        assert load_scenario(path).amplifier.gains.tolist() == [500.0, 500.0]
+
+    def test_t_end_defaults_to_t_start(self, tmp_path):
+        path = tmp_path / "hold.ini"
+        path.write_text(SCENARIO_INI)
+        program = load_scenario(path).program
+        assert program.t_start == program.t_end == 315.0
 
     def test_readme_example_loads(self, tmp_path):
         # every key the README documents is accepted

@@ -4,26 +4,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mnpthermo import (AcquisitionConfig, AmplifierModel, CoilParams,
-                       NoiseModel, SignalChainConfig, TimeSeries, add_noise,
-                       coil_transfer, extract_phasor, simulate_clean_channels)
+from mnpthermo import (AmplifierModel, CoilParams, NoiseModel,
+                       SignalChainConfig, TimeSeries, add_noise, coil_transfer,
+                       extract_phasor, simulate_clean_channels)
 from mnpthermo.errors import ConfigError
 from mnpthermo.magnetization import SamplingGrid
 from mnpthermo.signal_chain import _synthesize, apply_noise
 
 
-def make_chain(coil_a, coil_b, noise=None, phi_o=0.0, phase_model="debye",
-               window=1):
+def make_chain(coil_a, coil_b, phi_o=0.0, phase_model="debye", window=1):
     return SignalChainConfig(coil_a, coil_b, AmplifierModel.default(),
-                             noise or NoiseModel(),
-                             AcquisitionConfig(500000.0, window), phi_o,
+                             SamplingGrid(500000.0, window), phi_o,
                              phase_model)
 
 
-def noisy_channels(fld, p, t_sample, chain, t_amb):
-    """Clean synthesis plus the chain's configured noise."""
+def noisy_channels(fld, p, t_sample, chain, t_amb, noise=NoiseModel()):
+    """Clean synthesis plus the given noise (none by default)."""
     channels, ref_amp = simulate_clean_channels(fld, p, t_sample, chain, t_amb)
-    return apply_noise(channels, chain.noise, ref_amp)
+    return apply_noise(channels, noise, ref_amp)
 
 
 class TestCoilTransfer:
@@ -234,9 +232,12 @@ class TestSimulateChannels:
 
     def test_noisy_channels_deterministic(self, particle, operating_field,
                                           coil_pair):
-        chain = make_chain(*coil_pair, noise=NoiseModel(60.0, 42))
-        ch1 = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
-        ch2 = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
+        chain = make_chain(*coil_pair)
+        noise = NoiseModel(60.0, 42)
+        ch1 = noisy_channels(operating_field, particle, 300.0, chain, 300.0,
+                             noise)
+        ch2 = noisy_channels(operating_field, particle, 300.0, chain, 300.0,
+                             noise)
         np.testing.assert_array_equal(ch1.diff_sample.samples,
                                       ch2.diff_sample.samples)
         np.testing.assert_array_equal(ch1.ref_a.samples, ch2.ref_a.samples)
@@ -256,4 +257,4 @@ class TestSimulateChannels:
         bad = TimeSeries(250000.0, ch.ref_a.samples)
         with pytest.raises(ConfigError):
             MeasurementChannels(ch.diff_background, ch.diff_sample, bad,
-                                ch.f_base, chain.acquisition)
+                                ch.f_base)
