@@ -21,11 +21,11 @@ from .physics import (FieldCorrectionModel, ParticleSpec, debye_response,
                       tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ExperimentResult, FrequencyPlan,
                         ScenarioConfig, TemperatureProgram, emit_csv,
-                        load_scenario, match_snr, monte_carlo_std,
-                        plan_frequencies, run_scenario, self_calibrate)
+                        load_scenario, monte_carlo_std, plan_frequencies,
+                        run_scenario, self_calibrate)
 from .figures import FigureTable, generate_figure
 from .signal_chain import (AmplifierModel, CoilParams, MeasurementChannels,
-                           NoiseModel, SignalChainConfig, add_noise,
-                           coil_transfer, simulate_clean_channels)
+                           NoiseModel, SignalChainConfig, coil_transfer,
+                           simulate_clean_channels)
 
 __version__ = "0.1.0"

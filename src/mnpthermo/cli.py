@@ -13,8 +13,9 @@ from dataclasses import replace
 from .errors import ConfigError, EstimationError, PlanRejection
 from .estimator import estimate_temperature
 from .figures import FIGURE_IDS, generate_figure
-from .scenarios import (load_scenario, nominal_coil_phase, plan_frequencies,
-                        result_csv_lines, run_scenario, self_calibrate)
+from .scenarios import (format_field, load_scenario, nominal_coil_phase,
+                        plan_frequencies, result_csv_lines, run_scenario,
+                        self_calibrate)
 from .signal_chain import NoiseModel, apply_noise, simulate_clean_channels
 
 
@@ -27,17 +28,13 @@ def _write_lines(lines, out):
         sys.stdout.write(text)
 
 
-def _fmt(x):
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
 def _cmd_plan_freq(args):
     plan = plan_frequencies(args.f_high, args.f_low, args.sample_rate,
                             args.mains)
     header = "f_high_hz,f_low_hz,f_base_hz,f_plus_hz,f_minus_hz,sample_rate_hz"
-    row = ",".join(_fmt(v) for v in (plan.f_high, plan.f_low, plan.f_base,
-                                     plan.f_plus, plan.f_minus,
-                                     plan.sample_rate))
+    row = ",".join(format_field(v) for v in
+                   (plan.f_high, plan.f_low, plan.f_base, plan.f_plus,
+                    plan.f_minus, plan.sample_rate))
     _write_lines([header, row], args.out)
     return 0
 
@@ -70,7 +67,7 @@ def _cmd_simulate(args):
     t = channels.diff_background.times
     lines = ["t_s,diff_background_v,diff_sample_v,ref_a_v"]
     for i in range(t.size):
-        lines.append(",".join(_fmt(float(v)) for v in
+        lines.append(",".join(format_field(float(v)) for v in
                               (t[i], channels.diff_background.samples[i],
                                channels.diff_sample.samples[i],
                                channels.ref_a.samples[i])))
@@ -88,15 +85,14 @@ def _cmd_estimate(args):
     if not est.valid:
         raise EstimationError(est.error)
     header = "t_true_k,t_est_k,tau_est_s,phi_h_rad,phi_plus_rad,phi_minus_rad"
-    row = ",".join(_fmt(v) for v in (t_sample, est.t_est, est.tau_est,
-                                     est.phi_h, est.phi_plus, est.phi_minus))
+    row = ",".join(format_field(v) for v in
+                   (t_sample, est.t_est, est.tau_est, est.phi_h,
+                    est.phi_plus, est.phi_minus))
     _write_lines([header, row], args.out)
     return 0
 
 
 def _cmd_scenario(args):
-    if args.action != "run":
-        raise ConfigError(f"unknown scenario action {args.action!r}")
     cfg = _prepared(args)
     if args.trials is not None:
         cfg = replace(cfg, program=replace(cfg.program, n_points=args.trials))
@@ -165,9 +161,6 @@ _EXIT_CATEGORIES = (
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    # make --config available uniformly for _prepared
-    if not hasattr(args, "config"):
-        args.config = None
     try:
         return args.func(args)
     except tuple(t for t, _, _ in _EXIT_CATEGORIES) as exc:

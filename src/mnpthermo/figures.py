@@ -17,9 +17,9 @@ from .magnetization import (FieldConfig, SamplingGrid, fourier_coefficients,
 from .physics import (DEFAULT_FIELD_CORRECTION, debye_response, tau_brownian,
                       tau_effective, tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ScenarioConfig, TemperatureProgram,
-                        default_particle, default_scenario, ideal_coils,
-                        monte_carlo_std, nominal_coil_phase, plan_frequencies,
-                        self_calibrate)
+                        default_particle, default_scenario, format_field,
+                        ideal_coils, monte_carlo_std, nominal_coil_phase,
+                        plan_frequencies, self_calibrate)
 from .signal_chain import AmplifierModel, simulate_clean_channels
 
 FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig3", "fig4", "fig8", "fig9")
@@ -35,8 +35,7 @@ class FigureTable:
     def csv_lines(self):
         """Header, rows (floats to 17 digits) and `# key=value` meta lines."""
         lines = [",".join(self.header)]
-        lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                           for v in row) for row in self.rows]
+        lines += [",".join(format_field(v) for v in row) for row in self.rows]
         lines += [f"# {k}={v}" for k, v in self.meta.items()]
         return lines
 

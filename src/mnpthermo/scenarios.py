@@ -22,8 +22,12 @@ from .signal_chain import (AmplifierModel, CoilParams, NoiseModel,
 
 # Noise level that reproduces the published static-run spread
 # (temperature-error std ~= 0.0267 K at 315.6 K with the default chain).
-# Frozen output of match_snr(); re-derive with that function after any
-# change to the default chain or window.
+# White noise sigma over N samples puts complex noise of per-component std
+# s = sigma*sqrt(2/N) on every exact bin, so to first order
+#   Var phi_H = s^2/2 * (1/A+^2 + 1/A-^2) + s^2/A_ref^2,
+#   std T = (T - B) / |sin phi_H cos phi_H| * sqrt(Var phi_H).
+# The unamplified reference line A_ref carries ~99.8 % of Var phi_H.
+# tests/test_noise_oracle.py holds this value to that formula within 0.1 dB.
 STATIC_MATCHED_SNR_DB = 92.3
 
 
@@ -160,6 +164,9 @@ class ScenarioConfig:
         if self.ref_policy not in ("excitation", "line"):
             raise ConfigError(f"unknown ref_policy {self.ref_policy!r}; "
                               f"choose excitation or line")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be a non-negative integer "
+                              f"(got {self.seed!r})")
 
     def field_config(self):
         return FieldConfig(self.plan.f_high, self.plan.f_low,
@@ -327,22 +334,6 @@ def monte_carlo_std(cfg: ScenarioConfig, t_sample, snr_db, n_trials=200,
     if not errors:
         raise EstimationError("all Monte Carlo trials flagged")
     return float(np.std(errors)), n_flagged
-
-
-def match_snr(cfg: ScenarioConfig, target_std, t_sample=315.6,
-              snr_guess=50.0, n_trials=200, iterations=3):
-    """Find the snr_db whose static error std matches target_std.
-
-    Uses the std ~ 10^(-snr/20) scaling to re-aim after each Monte Carlo
-    evaluation; deterministic given cfg.seed. This is how
-    STATIC_MATCHED_SNR_DB was frozen.
-    """
-    cal = self_calibrate(cfg)
-    snr = float(snr_guess)
-    for _ in range(iterations):
-        std, _ = monte_carlo_std(cfg, t_sample, snr, n_trials, cal)
-        snr = snr + 20.0 * math.log10(std / target_std)
-    return snr
 
 
 # --- defaults mirroring the experimental setup ---------------------------
@@ -580,25 +571,24 @@ RESULT_COLUMNS = ("t_s", "t_true_k", "t_est_k", "tau_est_s", "phi_h_rad",
                   "error_k", "ok")
 
 
-def _fmt(x):
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    return f"{x:.17g}"
+def format_field(x):
+    """Floats to 17 significant digits (round-trips float64), else str."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def result_csv_lines(result: ExperimentResult):
     """Records as CSV lines plus a recomputable summary comment."""
     lines = [",".join(RESULT_COLUMNS)]
     for r in result.records:
-        lines.append(",".join(_fmt(v) for v in
+        lines.append(",".join(format_field(v) for v in
                               (r.t, r.t_true, r.t_est, r.tau_est, r.phi_h,
-                               r.error, r.ok)))
+                               r.error, int(r.ok))))
     if result.records:
         s = result.summary
         lines.append(f"# summary,n_points={s['n_points']},"
                      f"n_flagged={s['n_flagged']},"
-                     f"max_abs_error_k={_fmt(s['max_abs_error_k'])},"
-                     f"std_error_k={_fmt(s['std_error_k'])}")
+                     f"max_abs_error_k={format_field(s['max_abs_error_k'])},"
+                     f"std_error_k={format_field(s['std_error_k'])}")
     return lines
 
 

@@ -159,27 +159,6 @@ class NoiseModel:
         return math.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
 
 
-def add_noise(ts: TimeSeries, noise: NoiseModel, reference_amplitude=None,
-              rng=None) -> TimeSeries:
-    """Return a copy of ts with seeded white Gaussian noise added.
-
-    The noise power sits noise.snr_db below the reference line's power;
-    when no reference amplitude is given the largest spectral line of ts
-    itself is used. An infinite snr_db returns ts unchanged.
-    """
-    if ts.samples.size == 0:
-        raise ValueError("empty time series")
-    if math.isinf(noise.snr_db):
-        return ts
-    if reference_amplitude is None:
-        reference_amplitude = np.abs(ts.spectrum[1:]).max()
-    sigma = noise.sigma(reference_amplitude)
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
-    noisy = ts.samples + sigma * rng.standard_normal(ts.samples.size)
-    return TimeSeries(ts.sample_rate, noisy, t0=ts.t0)
-
-
 @dataclass(frozen=True)
 class SignalChainConfig:
     """Everything between M(t) and the digitized channels."""
@@ -365,14 +344,22 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
 
 def apply_noise(channels: MeasurementChannels, noise: NoiseModel,
                 reference_amplitude, seed_sequence=None) -> MeasurementChannels:
-    """Add independent same-sigma noise to each channel, seeded per channel."""
+    """Add seeded white Gaussian noise, one stream per channel.
+
+    Every channel gets the sigma that puts the noise power noise.snr_db
+    below a line of reference_amplitude; the streams spawn from
+    seed_sequence (default: noise.seed). An infinite snr_db returns
+    channels unchanged.
+    """
     if math.isinf(noise.snr_db):
         return channels
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(noise.seed)
+    sigma = noise.sigma(reference_amplitude)
     keys = seed_sequence.spawn(3)
-    noisy = [add_noise(ts, noise, reference_amplitude, np.random.default_rng(k))
+    noisy = [TimeSeries(ts.sample_rate,
+                        ts.samples + sigma * np.random.default_rng(k)
+                        .standard_normal(ts.samples.size), t0=ts.t0)
              for ts, k in zip((channels.diff_background, channels.diff_sample,
                                channels.ref_a), keys)]
     return MeasurementChannels(noisy[0], noisy[1], noisy[2], channels.f_base)
-

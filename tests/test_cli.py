@@ -105,6 +105,27 @@ def test_unknown_ref_policy_is_config_error(tmp_path, capsys):
     assert "ref_policy 'lines'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "run", "{negative_seed_ini}"],
+    ["scenario", "run", "{static_ini}", "--seed", "-3"],
+    ["figure", "fig1", "--seed", "-2"],
+], ids=["config", "scenario-flag", "figure-flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, argv):
+    # each used to fail only after self-calibration, with numpy's bare
+    # "expected non-negative integer"
+    static_ini = ROOT / "configs" / "static.ini"
+    negative_seed_ini = tmp_path / "seed.ini"
+    negative_seed_ini.write_text(
+        static_ini.read_text().replace("seed = 0", "seed = -1"))
+    argv = [a.format(static_ini=static_ini,
+                     negative_seed_ini=negative_seed_ini) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error category=config" in captured.err
+    assert "seed must be a non-negative integer" in captured.err
+    assert captured.out == ""
+
+
 class TestEstimate:
     def test_single_point(self, scenario_file, capsys):
         code = main(["estimate", "--config", scenario_file,

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mnpthermo import (AmplifierModel, CoilParams, NoiseModel,
-                       SignalChainConfig, TimeSeries, add_noise, coil_transfer,
+from mnpthermo import (AmplifierModel, CoilParams, MeasurementChannels,
+                       NoiseModel, SignalChainConfig, TimeSeries, coil_transfer,
                        extract_phasor, simulate_clean_channels)
 from mnpthermo.errors import ConfigError
 from mnpthermo.magnetization import SamplingGrid
@@ -93,34 +93,37 @@ class TestAmplifierModel:
 
 
 class TestAddNoise:
-    def _tone(self, n=100000):
+    def _tone_channels(self, n=100000):
         t = np.arange(n) / 100000.0
-        return TimeSeries(100000.0, np.cos(2 * np.pi * 1000 * t))
+        ts = TimeSeries(100000.0, np.cos(2 * np.pi * 1000 * t))
+        return MeasurementChannels(ts, ts, ts, 1000.0)
 
     def test_infinite_snr_unchanged(self):
-        ts = self._tone(1000)
-        assert add_noise(ts, NoiseModel(math.inf, 0)) is ts
+        ch = self._tone_channels(1000)
+        assert apply_noise(ch, NoiseModel(math.inf, 0), 1.0) is ch
 
     def test_deterministic_per_seed(self):
-        ts = self._tone(1000)
-        a = add_noise(ts, NoiseModel(40.0, 123))
-        b = add_noise(ts, NoiseModel(40.0, 123))
-        c = add_noise(ts, NoiseModel(40.0, 124))
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        ch = self._tone_channels(1000)
+        a = apply_noise(ch, NoiseModel(40.0, 123), 1.0)
+        b = apply_noise(ch, NoiseModel(40.0, 123), 1.0)
+        c = apply_noise(ch, NoiseModel(40.0, 124), 1.0)
+        for name in ("diff_background", "diff_sample", "ref_a"):
+            assert np.array_equal(getattr(a, name).samples,
+                                  getattr(b, name).samples)
+            assert not np.array_equal(getattr(a, name).samples,
+                                      getattr(c, name).samples)
 
     def test_variance_at_40_db(self):
-        ts = self._tone(1000000)
-        noisy = add_noise(ts, NoiseModel(40.0, 7))
-        residual = noisy.samples - ts.samples
-        signal_power = 0.5  # unit-amplitude tone
-        assert np.var(residual) == pytest.approx(1e-4 * signal_power, rel=0.05)
+        ch = self._tone_channels(1000000)
+        noisy = apply_noise(ch, NoiseModel(40.0, 7), reference_amplitude=2.0)
+        signal_power = 0.5 * 2.0**2  # of the reference line, not the tone
+        for name in ("diff_background", "diff_sample", "ref_a"):
+            residual = (getattr(noisy, name).samples
+                        - getattr(ch, name).samples)
+            assert np.var(residual) == pytest.approx(1e-4 * signal_power,
+                                                     rel=0.05)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            add_noise(TimeSeries(1000.0, [0.0]),
-                      NoiseModel(40.0, 0))  # single sample is fine
-        # (empty arrays are rejected by TimeSeries itself)
         with pytest.raises(ValueError):
             TimeSeries(1000.0, [])
 
