@@ -8,17 +8,15 @@ the sample temperature from the phases of the intermodulation lines.
 from .constants import K_BOLTZMANN, MU_0
 from .errors import (ConfigError, EstimationError, PlanRejection,
                      QuadratureError)
-from .estimator import (CalibrationModel, Phasor, TemperatureEstimate,
-                        calibrate, direct_line_phase, estimate_tau,
-                        estimate_temperature, extract_phasor,
+from .estimator import (CalibrationModel, TemperatureEstimate, calibrate,
+                        direct_line_phase, estimate_tau, estimate_temperature,
                         phi_h_from_mixing, sample_phase, tau_from_phase)
 from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid,
                             TimeSeries, equilibrium_magnetization,
                             fourier_coefficients, magnetization_spectrum,
                             ode_magnetization, spectral_magnetization)
-from .physics import (FieldCorrectionModel, ParticleSpec, debye_response,
-                      langevin, tau_brownian, tau_effective,
-                      tau_field_corrected, tau_neel)
+from .physics import (ParticleSpec, debye_response, langevin, tau_brownian,
+                      tau_effective, tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ExperimentResult, FrequencyPlan,
                         ScenarioConfig, TemperatureProgram, emit_csv,
                         load_scenario, monte_carlo_std, plan_frequencies,

@@ -10,7 +10,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, EstimationError, PlanRejection
+from .errors import (ConfigError, EstimationError, PlanRejection,
+                     QuadratureError)
 from .estimator import estimate_temperature
 from .figures import FIGURE_IDS, generate_figure
 from .scenarios import (format_field, load_scenario, nominal_coil_phase,
@@ -153,6 +154,8 @@ def _build_parser():
 _EXIT_CATEGORIES = (
     (PlanRejection, "plan-rejected", 3),
     (ConfigError, "config", 2),
+    # only inputs outside the range the forward model resolves reach it
+    (QuadratureError, "config", 2),
     (EstimationError, "estimation", 4),
     (OSError, "io", 5),
     (ValueError, "config", 2),

@@ -25,48 +25,15 @@ _LINE_FLOOR_FRACTION = 1e-13
 FARADAY_UNSHIFT = 1.5 * math.pi  # inverse of the voltage-phase offset
 
 
-@dataclass(frozen=True)
-class Phasor:
-    """One spectral line: amplitude >= 0, phase wrapped to (-pi, pi]."""
-
-    frequency: float
-    amplitude: float
-    phase: float
-
-    @property
-    def complex(self):
-        return self.amplitude * cmath.exp(1j * self.phase)
-
-
 def wrap_phase(phi):
     """Wrap an angle onto (-pi, pi]."""
     return math.atan2(math.sin(phi), math.cos(phi))
 
 
 def _bin_projection(ts: TimeSeries, f):
-    """Complex amplitude of the exact-bin line at f, referenced to t = 0."""
+    """Complex amplitude of the exact-bin line at f, from the window start."""
     k = int(round(f * ts.samples.size / ts.sample_rate))
-    return complex(ts.spectrum[k]) * cmath.exp(-2j * math.pi * f * ts.t0)
-
-
-def extract_phasor(ts: TimeSeries, f) -> Phasor:
-    """Single-bin discrete Fourier projection at frequency f.
-
-    Exact (to rounding) for noiseless in-bin tones over an integer number
-    of cycles; rectangular window; phase referenced to absolute t = 0.
-    Raises ValueError for off-bin frequencies or windows that do not span
-    an integer number of cycles.
-    """
-    if f <= 0:
-        raise ValueError("frequency must be positive")
-    cycles = f * ts.samples.size / ts.sample_rate
-    if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
-        raise ValueError(
-            f"frequency {f} is not an exact bin of the {ts.duration}s window")
-    if f >= 0.5 * ts.sample_rate:
-        raise ValueError("frequency at or above Nyquist")
-    z = _bin_projection(ts, f)
-    return Phasor(float(f), abs(z), cmath.phase(z))
+    return complex(ts.spectrum[k])
 
 
 def _channel_peak(ts: TimeSeries):

@@ -6,7 +6,7 @@ given the seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,8 +14,8 @@ from .errors import ConfigError
 from .estimator import direct_line_phase, estimate_tau, estimate_temperature
 from .magnetization import (FieldConfig, SamplingGrid, fourier_coefficients,
                             magnetization_spectrum, spectral_magnetization)
-from .physics import (DEFAULT_FIELD_CORRECTION, debye_response, tau_brownian,
-                      tau_effective, tau_field_corrected, tau_neel)
+from .physics import (debye_response, tau_brownian, tau_effective,
+                      tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ScenarioConfig, TemperatureProgram,
                         default_particle, default_scenario, format_field,
                         ideal_coils, monte_carlo_std, nominal_coil_phase,
@@ -107,8 +107,7 @@ def figure_relaxation_vs_field(d_hydro=30e-9, eta=1e-3, temperature=300.0,
     tau0 = tau_brownian(d_hydro, eta, temperature)
     rows = []
     for xi in np.linspace(0.0, xi_max, n_points):
-        rows.append((float(xi),
-                     tau_field_corrected(tau0, xi, DEFAULT_FIELD_CORRECTION)))
+        rows.append((float(xi), tau_field_corrected(tau0, xi)))
     return FigureTable("fig2b", ("xi", "tau_s"), rows, {"tau_zero_field_s": tau0})
 
 
@@ -123,10 +122,11 @@ def figure_mixing_vs_single(t_min=310.0, t_max=320.0, n_points=21) -> FigureTabl
                             window_periods=3)
     t_mid = 0.5 * (t_min + t_max)
     ambient = AmbientModel(t_base=t_mid, coupling=1.0, t_sample_ref=t_mid)
-    common = dict(program=TemperatureProgram("constant", t_mid, t_mid, 1.0, 1),
-                  ambient=ambient, cal_temperatures=(t_mid,), plan=plan)
-    cfg_mix = default_scenario(mode="mixing", **common)
-    cfg_sin = default_scenario(mode="single", **common)
+    cfg_mix = replace(default_scenario(), plan=plan, ambient=ambient,
+                      program=TemperatureProgram("constant", t_mid, t_mid,
+                                                 1.0, 1),
+                      cal_temperatures=(t_mid,))
+    cfg_sin = replace(cfg_mix, mode="single")
     cal_mix = self_calibrate(cfg_mix)
     cal_sin = self_calibrate(cfg_sin)
     nom = nominal_coil_phase(cfg_sin)
@@ -205,7 +205,7 @@ def figure_phase_drift(t_amb_min=295.0, t_amb_max=305.0, n_points=11,
     mixing-line reconstruction with reference correction should change far
     less per kelvin than the directly measured phase.
     """
-    cfg = default_scenario(mode="mixing", cal_temperatures=(t_sample,))
+    cfg = replace(default_scenario(), cal_temperatures=(t_sample,))
     plan = cfg.plan
     rows = []
     for t_amb in np.linspace(t_amb_min, t_amb_max, n_points):

@@ -86,10 +86,6 @@ class SamplingGrid:
             raise ValueError("sample_rate must be an integer multiple of f_base")
         return int(round(per_period)) * self.n_periods
 
-    def times(self, f_base, t0=0.0):
-        n = self.n_samples(f_base)
-        return t0 + np.arange(n) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -101,7 +97,6 @@ class TimeSeries:
 
     sample_rate: float
     samples: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float).view()
@@ -117,7 +112,7 @@ class TimeSeries:
         """One-sided spectrum rfft * 2/N (read-only, computed once).
 
         Bin k holds the complex amplitude of the line at k/duration Hz,
-        phase referenced to the window start t0.
+        phase referenced to the window start.
         """
         spectrum = np.fft.rfft(self.samples) * (2.0 / self.samples.size)
         spectrum.flags.writeable = False
@@ -125,7 +120,7 @@ class TimeSeries:
 
     @property
     def times(self):
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
+        return np.arange(self.samples.size) / self.sample_rate
 
     @property
     def duration(self):
@@ -148,7 +143,6 @@ class HarmonicSet:
     f_base: float
     indices: np.ndarray
     coefficients: np.ndarray
-    n_max: int
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
@@ -166,13 +160,7 @@ class HarmonicSet:
         peak = np.max(np.abs(self.coefficients)) if self.coefficients.size else 0.0
         keep = np.abs(self.coefficients) > fraction * peak
         return HarmonicSet(self.f_base, self.indices[keep],
-                           self.coefficients[keep], self.n_max)
-
-    def amplitude_at(self, frequency):
-        """Coefficient at an exact line frequency (0.0 if absent)."""
-        n = int(round(frequency / self.f_base))
-        hits = np.nonzero(self.indices == n)[0]
-        return float(self.coefficients[hits[0]]) if hits.size else 0.0
+                           self.coefficients[keep])
 
 
 def equilibrium_magnetization(t, fld: FieldConfig, p: ParticleSpec, temperature):
@@ -220,7 +208,7 @@ def fourier_coefficients(fld: FieldConfig, p: ParticleSpec, temperature,
         if prev is not None:
             scale = np.max(np.abs(coeffs))
             if np.max(np.abs(coeffs - prev)) <= tol * scale:
-                return HarmonicSet(fld.f_base, indices, coeffs, n_max)
+                return HarmonicSet(fld.f_base, indices, coeffs)
         prev = coeffs
         n_nodes *= 2
     raise QuadratureError(
@@ -259,7 +247,7 @@ def spectral_magnetization(h: HarmonicSet, tau, fld: FieldConfig,
     out = synthesize_lines(sig.frequencies,
                            sig.coefficients * atten * np.exp(-1j * lag),
                            grid, h.f_base)
-    return TimeSeries(grid.sample_rate, out, t0=0.0)
+    return TimeSeries(grid.sample_rate, out)
 
 
 def _rk4_relaxation_weights(z):
@@ -312,9 +300,11 @@ def ode_magnetization(fld: FieldConfig, p: ParticleSpec, temperature, tau,
     """Time-domain oracle for the steady-state magnetization.
 
     Integrates from M(0) = 0 through the transient (see transient_periods)
-    and returns the following `grid.n_periods` base periods. The internal
-    step obeys h <= tau/20 and h <= 1/(50*f_high); pass `max_step` to
-    force a coarser ceiling and get a ValueError if it violates those.
+    and returns the following `grid.n_periods` base periods. The transient
+    spans whole base periods, so every line at a multiple of f_base has
+    the same phase from the window start as from t = 0. The internal step
+    obeys h <= tau/20 and h <= 1/(50*f_high); pass `max_step` to force a
+    coarser ceiling and get a ValueError if it violates those.
     """
     f_base = fld.f_base
     step_limit = min(tau / 20.0, 1.0 / (50.0 * fld.f_high))
@@ -337,8 +327,7 @@ def ode_magnetization(fld: FieldConfig, p: ParticleSpec, temperature, tau,
     states = relax_toward(m0, tau, h, m_init=0.0)
 
     keep = states[n_trans_samples * substeps::substeps][:n_out]
-    t0 = n_trans / f_base
-    return TimeSeries(grid.sample_rate, keep, t0=t0)
+    return TimeSeries(grid.sample_rate, keep)
 
 
 def magnetization_spectrum(ts: TimeSeries, f_base):
@@ -346,7 +335,7 @@ def magnetization_spectrum(ts: TimeSeries, f_base):
 
     Returns a list of (frequency_hz, normalized_amplitude, phase_rad)
     for every base-frequency bin up to Nyquist; phases are referenced to
-    absolute time t = 0. Raises if the window is not an integer number of
+    the window start. Raises if the window is not an integer number of
     base periods.
     """
     n = ts.samples.size
@@ -359,8 +348,6 @@ def magnetization_spectrum(ts: TimeSeries, f_base):
     amps = np.abs(lines)
     phases = np.angle(lines)
     freqs = bins * ts.sample_rate / n
-    # re-reference phases from window start to absolute t = 0
-    phases = np.angle(np.exp(1j * (phases - 2.0 * np.pi * freqs * ts.t0)))
     peak = amps.max() if amps.size else 1.0
     if peak == 0.0:
         peak = 1.0

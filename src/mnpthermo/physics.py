@@ -126,33 +126,24 @@ def tau_effective(tau_b, tau_n):
     return float(result) if result.ndim == 0 else result
 
 
-@dataclass(frozen=True)
-class FieldCorrectionModel:
-    """Empirical shortening of the relaxation time with field amplitude.
-
-    tau(xi) = tau(0) / sqrt(1 + coeff * xi**power). The published curve
-    gives no functional form, so coefficient and exponent here are an
-    implementer choice; reproduce trends with it, not absolute values.
-    """
-
-    coeff: float = 0.126
-    power: float = 1.72
-
-    def factor(self, xi):
-        x = np.asarray(xi, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("xi must be non-negative")
-        return 1.0 / np.sqrt(1.0 + self.coeff * x**self.power)
+# Empirical shortening of the relaxation time with field amplitude,
+# tau(xi) = tau(0) / sqrt(1 + coeff * xi**power). The published curve gives
+# no functional form, so coefficient and exponent are an implementer choice;
+# reproduce trends with them, not absolute values.
+FIELD_CORRECTION_COEFF = 0.126
+FIELD_CORRECTION_POWER = 1.72
 
 
-DEFAULT_FIELD_CORRECTION = FieldCorrectionModel()
-
-
-def tau_field_corrected(tau, xi, model: FieldCorrectionModel = DEFAULT_FIELD_CORRECTION):
+def tau_field_corrected(tau, xi):
     """Apply the field-amplitude correction to a zero-field relaxation time."""
     if np.any(np.asarray(tau) <= 0.0):
         raise ValueError("tau must be positive")
-    result = np.asarray(tau, dtype=float) * model.factor(xi)
+    x = np.asarray(xi, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError("xi must be non-negative")
+    factor = 1.0 / np.sqrt(1.0 + FIELD_CORRECTION_COEFF
+                           * x**FIELD_CORRECTION_POWER)
+    result = np.asarray(tau, dtype=float) * factor
     return float(result) if result.ndim == 0 else result
 
 

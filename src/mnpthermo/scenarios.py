@@ -20,16 +20,6 @@ from .signal_chain import (AmplifierModel, CoilParams, NoiseModel,
                            SignalChainConfig, coil_transfer,
                            simulate_clean_channels, apply_noise)
 
-# Noise level that reproduces the published static-run spread
-# (temperature-error std ~= 0.0267 K at 315.6 K with the default chain).
-# White noise sigma over N samples puts complex noise of per-component std
-# s = sigma*sqrt(2/N) on every exact bin, so to first order
-#   Var phi_H = s^2/2 * (1/A+^2 + 1/A-^2) + s^2/A_ref^2,
-#   std T = (T - B) / |sin phi_H cos phi_H| * sqrt(Var phi_H).
-# The unamplified reference line A_ref carries ~99.8 % of Var phi_H.
-# tests/test_noise_oracle.py holds this value to that formula within 0.1 dB.
-STATIC_MATCHED_SNR_DB = 92.3
-
 
 @dataclass(frozen=True)
 class FrequencyPlan:
@@ -361,43 +351,13 @@ def ideal_coils():
     return coil, coil
 
 
-def default_scenario(mode="mixing", snr_db=math.inf, seed=0, coils="measured",
-                     program=None, ambient=None, cal_temperatures=(315.0,),
-                     cal_kind="one_point", phase_model="debye",
-                     plan=None) -> ScenarioConfig:
+def default_scenario() -> ScenarioConfig:
     """Scenario at the published operating point (6 kHz / 1.57 kHz)."""
-    plan = plan or plan_frequencies(6000, 1570)
-    coil_a, coil_b = measured_coils() if coils == "measured" else ideal_coils()
+    coil_a, coil_b = measured_coils()
     return ScenarioConfig(
-        particle=default_particle(), plan=plan,
+        particle=default_particle(), plan=plan_frequencies(6000, 1570),
         b_high=0.36e-3, b_low=1.98e-3,
-        coil_a=coil_a, coil_b=coil_b, amplifier=AmplifierModel.default(),
-        snr_db=snr_db, seed=seed, phase_model=phase_model, mode=mode,
-        program=program or TemperatureProgram(),
-        ambient=ambient or AmbientModel(),
-        cal_temperatures=tuple(cal_temperatures), cal_kind=cal_kind)
-
-
-def static_scenario(seed=0, snr_db=STATIC_MATCHED_SNR_DB):
-    """Published static run: 315.6 K hold, two minutes, matched noise."""
-    return default_scenario(
-        snr_db=snr_db, seed=seed,
-        program=TemperatureProgram("constant", 315.6, 315.6, 120.0, 120),
-        ambient=AmbientModel(t_base=300.0, coupling=0.02),
-        cal_temperatures=(310.0, 315.0, 320.0), cal_kind="affine_in_inverse_tau")
-
-
-def cooling_scenario(seed=0, snr_db=STATIC_MATCHED_SNR_DB):
-    """Published dynamic run: exponential 320 -> 310 K cooling.
-
-    The source experiment does not state its acquisition cadence; one
-    point per ten seconds is the configurable default.
-    """
-    return default_scenario(
-        snr_db=snr_db, seed=seed,
-        program=TemperatureProgram("cooling", 320.0, 310.0, 600.0, 60, 180.0),
-        ambient=AmbientModel(t_base=300.0, coupling=0.02),
-        cal_temperatures=(310.0, 315.0, 320.0), cal_kind="affine_in_inverse_tau")
+        coil_a=coil_a, coil_b=coil_b, amplifier=AmplifierModel.default())
 
 
 # --- config file parsing --------------------------------------------------

@@ -95,9 +95,14 @@ class AmplifierModel:
     gains: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-        object.__setattr__(self, "gains", np.asarray(self.gains, dtype=float))
+        for name in ("frequencies", "phases", "gains"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"amplifier {name} must be finite")
+            object.__setattr__(self, name, column)
+        if np.any(self.gains <= 0.0):
+            raise ValueError(f"amplifier gains must be positive "
+                             f"(got {self.gains.min():g})")
         if self.frequencies.size < 2 or np.any(np.diff(self.frequencies) <= 0):
             raise ValueError("frequency grid must be strictly increasing, >= 2 rows")
         if self.phases.shape != self.frequencies.shape or self.gains.shape != self.frequencies.shape:
@@ -108,12 +113,6 @@ class AmplifierModel:
 
     def gain(self, f):
         return np.interp(f, self.frequencies, self.gains)
-
-    def shifted(self, delta_fn):
-        """New model with phase table shifted by delta_fn(frequency)."""
-        return AmplifierModel(self.frequencies,
-                              self.phases + delta_fn(self.frequencies),
-                              self.gains)
 
     @classmethod
     def default(cls, gain=1000.0):
@@ -204,7 +203,7 @@ def _synthesize(lines, grid: SamplingGrid, f_base):
     """Sum cosine lines (frequency, amplitude, phase) into a waveform."""
     f, amp, ph = np.array(lines, dtype=float).reshape(-1, 3).T
     out = synthesize_lines(f, amp * np.exp(1j * ph), grid, f_base)
-    return TimeSeries(grid.sample_rate, out, t0=0.0)
+    return TimeSeries(grid.sample_rate, out)
 
 
 @lru_cache(maxsize=16)
@@ -359,7 +358,7 @@ def apply_noise(channels: MeasurementChannels, noise: NoiseModel,
     keys = seed_sequence.spawn(3)
     noisy = [TimeSeries(ts.sample_rate,
                         ts.samples + sigma * np.random.default_rng(k)
-                        .standard_normal(ts.samples.size), t0=ts.t0)
+                        .standard_normal(ts.samples.size))
              for ts, k in zip((channels.diff_background, channels.diff_sample,
                                channels.ref_a), keys)]
     return MeasurementChannels(noisy[0], noisy[1], noisy[2], channels.f_base)

@@ -14,10 +14,11 @@ import numpy as np
 import mnpthermo as m
 from mnpthermo.figures import (figure_error_vs_snr, figure_mixing_vs_single,
                                figure_phase_drift)
-from mnpthermo.scenarios import (TemperatureProgram, cooling_scenario,
-                                 default_scenario, emit_csv, run_scenario,
-                                 self_calibrate, static_scenario)
+from mnpthermo.scenarios import (TemperatureProgram, default_scenario,
+                                 emit_csv, ideal_coils, run_scenario,
+                                 self_calibrate)
 from mnpthermo.signal_chain import NoiseModel, apply_noise, simulate_clean_channels
+from tests.test_scenarios import shipped_scenario
 
 
 def report(number, ok, message):
@@ -70,7 +71,8 @@ def test_2_selection_rule_and_ratio_trend(particle, operating_field):
     for r in (1.0, 2.0, 3.0, 4.0, 5.5):
         fld = m.FieldConfig(6000, 1570, 0.36e-3, r * 0.36e-3)
         hr = m.fourier_coefficients(fld, particle, 300.0)
-        ratios.append(abs(hr.amplitude_at(9140) / hr.amplitude_at(6000)))
+        a = dict(zip(hr.frequencies, hr.coefficients))
+        ratios.append(abs(a[9140] / a[6000]))
     monotone = bool(np.all(np.diff(ratios) > 0))
     report(2, present and absent and monotone,
            f"mixing lines present, f_H+-f_L lines < -120 dB, and the "
@@ -79,8 +81,8 @@ def test_2_selection_rule_and_ratio_trend(particle, operating_field):
 
 
 def test_3_estimator_exactness_composed():
-    cfg = default_scenario(phase_model="composed", cal_temperatures=(315.0,))
-    cfg = replace(cfg, ref_policy="line")
+    cfg = replace(default_scenario(), phase_model="composed",
+                  ref_policy="line", cal_temperatures=(315.0,))
     cal = self_calibrate(cfg)
     worst = 0.0
     for t in np.linspace(310.0, 320.0, 5):
@@ -93,9 +95,10 @@ def test_3_estimator_exactness_composed():
 
 
 def test_4_cross_model_bias_and_affine_residual():
-    cfg = default_scenario(phase_model="debye", coils="ideal",
-                           cal_temperatures=(310.0, 315.0, 320.0),
-                           cal_kind="affine_in_inverse_tau")
+    coil_a, coil_b = ideal_coils()
+    cfg = replace(default_scenario(), coil_a=coil_a, coil_b=coil_b,
+                  cal_temperatures=(310.0, 315.0, 320.0),
+                  cal_kind="affine_in_inverse_tau")
     tau300 = m.tau_brownian(30e-9, 1e-3, 300.0)
     wp, wm, wh = (2 * math.pi * f for f in (9140.0, 2860.0, 6000.0))
     predicted = 0.5 * (math.atan(wp * tau300) + math.atan(wm * tau300)) \
@@ -151,16 +154,16 @@ def test_7_drift_suppression():
 
 
 def test_8_published_envelope_scenarios(tmp_path):
-    static = run_scenario(static_scenario(seed=0))
+    static = run_scenario(shipped_scenario("static.ini", seed=0))
     s = static.summary
     static_ok = s["n_flagged"] == 0 and s["max_abs_error_k"] < 0.1
 
-    dynamic = run_scenario(cooling_scenario(seed=0))
+    dynamic = run_scenario(shipped_scenario("cooling.ini", seed=0))
     d = dynamic.summary
     dynamic_ok = d["n_flagged"] == 0 and d["max_abs_error_k"] < 0.2
 
     # determinism: identical config and seed give byte-identical output
-    short = replace(static_scenario(seed=0),
+    short = replace(shipped_scenario("static.ini", seed=0),
                     program=TemperatureProgram("constant", 315.6, 315.6,
                                                4.0, 4))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -177,7 +180,7 @@ def test_8_published_envelope_scenarios(tmp_path):
 
 
 def test_9_invariance_suite():
-    cfg = default_scenario(cal_temperatures=(315.0,))
+    cfg = replace(default_scenario(), cal_temperatures=(315.0,))
     cal = self_calibrate(cfg)
     base = estimate_at(cfg, 313.0, cal)
 
@@ -192,7 +195,10 @@ def test_9_invariance_suite():
     conc = replace(cfg, particle=replace(cfg.particle, n_conc=7e20))
     d_conc = abs(estimate_at(conc, 313.0, cal).t_est - base.t_est)
 
-    shifted_amp = cfg.amplifier.shifted(lambda f: 0.3 + 1e-5 * np.asarray(f))
+    amp = cfg.amplifier
+    shifted_amp = m.AmplifierModel(amp.frequencies,
+                                   amp.phases + (0.3 + 1e-5 * amp.frequencies),
+                                   amp.gains)
     amp_cfg = replace(cfg, amplifier=shifted_amp)
     d_amp = abs(estimate_at(amp_cfg, 313.0, cal).t_est - base.t_est)
 

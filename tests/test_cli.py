@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mnpthermo import magnetization, signal_chain
 from mnpthermo.cli import main
 from tests.test_scenarios import ROOT, SCENARIO_INI
 
@@ -92,6 +93,37 @@ def test_non_finite_number_in_config_is_config_error(tmp_path, capsys, old,
     assert "error category=config" in captured.err
     assert f"{key!r}" in captured.err and "not a finite number" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("amplifier, named", [
+    ("table_path = {table}", "amplifier phases must be finite"),
+    ("gain = 0", "amplifier gains must be positive (got 0)"),
+    ("gain = -5", "amplifier gains must be positive (got -5)"),
+], ids=["nan-phase-row", "zero-gain", "negative-gain"])
+def test_bad_amplifier_is_config_error(tmp_path, capsys, amplifier, named):
+    # the nan row and the zero gain used to exit 4, the negative gain to
+    # print an estimate
+    table = tmp_path / "amp.txt"
+    table.write_text("0 0 1000\n100000 nan 1000\n")
+    path = tmp_path / "amp.ini"
+    path.write_text((ROOT / "configs" / "static.ini").read_text()
+                    + "\n[amplifier]\n" + amplifier.format(table=table) + "\n")
+    assert main(["estimate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error category=config" in captured.err
+    assert named in captured.err and captured.out == ""
+
+
+def test_unconverged_quadrature_is_config_error(monkeypatch, capsys):
+    # --temperature 1e-300 used to end in a QuadratureError traceback
+    # (exit 1) after 12 node doublings; one allowed pass fails the same way
+    monkeypatch.setattr(magnetization, "_MAX_QUADRATURE_DOUBLINGS", 1)
+    signal_chain._cached_harmonics.cache_clear()
+    assert main(["estimate", "--config",
+                 str(ROOT / "configs" / "static.ini")]) == 2
+    captured = capsys.readouterr()
+    assert "error category=config" in captured.err
+    assert "did not converge" in captured.err and captured.out == ""
 
 
 def test_unknown_ref_policy_is_config_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,50 +6,38 @@ import pytest
 
 from mnpthermo import (AmplifierModel, CalibrationModel, EstimationError,
                        FieldConfig, MeasurementChannels, SamplingGrid,
-                       TimeSeries, calibrate, extract_phasor,
-                       estimate_temperature, phi_h_from_mixing, sample_phase,
-                       tau_brownian, tau_from_phase)
-from mnpthermo.estimator import wrap_phase
+                       TimeSeries, calibrate, estimate_temperature,
+                       phi_h_from_mixing, sample_phase, tau_brownian,
+                       tau_from_phase)
+from mnpthermo.estimator import _bin_projection, _channel_peak, wrap_phase
 from mnpthermo.scenarios import measured_coils
-from mnpthermo.signal_chain import (_difference_lines, _synthesize,
-                                    _through_amplifier, coil_transfer,
-                                    feedthrough_lines)
+from mnpthermo.signal_chain import (NoiseModel, _difference_lines,
+                                    _synthesize, _through_amplifier,
+                                    apply_noise, coil_transfer,
+                                    feedthrough_lines,
+                                    simulate_clean_channels)
+from tests.oracles import dft_line
+from tests.test_scenarios import shipped_scenario
 
 K_B = 1.380649e-23
 
 
 class TestExtractPhasor:
+    """The estimator's exact-bin read, _bin_projection."""
+
     def test_known_tone(self):
         fs, f = 50000, 500.0
         t = np.arange(1000) / fs  # 10 cycles
         ts = TimeSeries(fs, np.cos(2 * np.pi * f * t + 0.3))
-        ph = extract_phasor(ts, f)
-        assert ph.amplitude == pytest.approx(1.0, rel=1e-12)
-        assert ph.phase == pytest.approx(0.3, abs=1e-12)
+        z = _bin_projection(ts, f)
+        assert abs(z) == pytest.approx(1.0, rel=1e-12)
+        assert cmath.phase(z) == pytest.approx(0.3, abs=1e-12)
 
     def test_other_bin_orthogonal(self):
         fs = 50000
         t = np.arange(1000) / fs
         ts = TimeSeries(fs, np.cos(2 * np.pi * 500.0 * t))
-        assert extract_phasor(ts, 750.0).amplitude < 1e-12
-
-    def test_off_bin_rejected(self):
-        ts = TimeSeries(50000, np.zeros(1000))
-        with pytest.raises(ValueError):
-            extract_phasor(ts, 333.3)
-
-    def test_nyquist_rejected(self):
-        ts = TimeSeries(1000, np.zeros(1000))
-        with pytest.raises(ValueError):
-            extract_phasor(ts, 500.0)
-
-    def test_absolute_time_reference(self):
-        # a shifted window reports the same underlying phase
-        fs, f = 50000, 500.0
-        t0 = 0.25
-        t = t0 + np.arange(1000) / fs
-        ts = TimeSeries(fs, np.cos(2 * np.pi * f * t + 0.3), t0=t0)
-        assert extract_phasor(ts, f).phase == pytest.approx(0.3, abs=1e-9)
+        assert abs(_bin_projection(ts, 750.0)) < 1e-12
 
     def test_noise_phase_statistics(self):
         # Monte Carlo vs sigma_phi = 1/(SNR * sqrt(N/2))
@@ -61,9 +50,28 @@ class TestExtractPhasor:
         phases = []
         for _ in range(200):
             ts = TimeSeries(fs, clean + sigma * rng.standard_normal(n))
-            phases.append(extract_phasor(ts, f).phase)
+            phases.append(cmath.phase(_bin_projection(ts, f)))
         predicted = 1.0 / (snr_amp * math.sqrt(n / 2.0))
         assert np.std(phases) == pytest.approx(predicted, rel=0.2)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_matches_direct_dft_on_static_channels(self, noisy):
+        # every channel at every line the estimator reads, against the
+        # direct-summation oracle; noise is the seed-0 stream
+        cfg = shipped_scenario("static.ini")
+        t_sample = cfg.program.t_start
+        channels, ref_amp = simulate_clean_channels(
+            cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
+            cfg.ambient.ambient(t_sample))
+        if noisy:
+            channels = apply_noise(channels, NoiseModel(cfg.snr_db, 0),
+                                   ref_amp)
+        plan = cfg.plan
+        for ts in (channels.diff_background, channels.diff_sample,
+                   channels.ref_a):
+            for f in (plan.f_plus, plan.f_minus, plan.f_high, plan.f_low):
+                assert abs(_bin_projection(ts, f) - dft_line(ts, f)) \
+                    <= 1e-13 * _channel_peak(ts)
 
 
 def synthetic_channels(phi_s_by_freq, phi_o=0.0, coil_b=None,

@@ -17,13 +17,14 @@ the clean reference-channel line at f_H and B the calibration offset.
 """
 
 import math
+from dataclasses import replace
 
-from mnpthermo import extract_phasor, figures
-from mnpthermo.scenarios import (STATIC_MATCHED_SNR_DB, default_scenario,
-                                 load_scenario, monte_carlo_std,
+from mnpthermo import figures
+from mnpthermo.scenarios import (default_scenario, monte_carlo_std,
                                  plan_frequencies, self_calibrate)
 from mnpthermo.signal_chain import NoiseModel, simulate_clean_channels
-from tests.test_scenarios import ROOT, _estimate
+from tests.oracles import dft_line
+from tests.test_scenarios import _estimate, shipped_scenario
 
 PUBLISHED_STATIC_STD_K = 0.0267
 
@@ -37,15 +38,15 @@ def closed_form_std(cfg, cal, t_sample, snr_db):
     s2 = 2.0 * sigma**2 / clean.ref_a.samples.size  # per component, per bin
 
     def line(f):
-        return abs(extract_phasor(clean.diff_sample, f).complex
-                   - extract_phasor(clean.diff_background, f).complex)
+        return abs(dft_line(clean.diff_sample, f)
+                   - dft_line(clean.diff_background, f))
 
     plan = cfg.plan
     if cfg.mode == "single":
         var_phi = 2.0 * s2 / line(plan.f_high) ** 2
     else:
         assert cfg.ref_policy == "excitation"
-        a_ref = extract_phasor(clean.ref_a, plan.f_high).amplitude
+        a_ref = abs(dft_line(clean.ref_a, plan.f_high))
         var_phi = (0.5 * s2 * (1.0 / line(plan.f_plus) ** 2
                                + 1.0 / line(plan.f_minus) ** 2)
                    + s2 / a_ref ** 2)
@@ -61,22 +62,22 @@ def assert_within_standard_errors(std, expected, n_trials, k=4.0):
 
 
 def test_static_matched_snr_is_the_closed_form_snr():
-    cfg = load_scenario(ROOT / "configs" / "static.ini")
-    assert cfg.snr_db == STATIC_MATCHED_SNR_DB
+    # both published scenarios run at the SNR matched on the static one
+    cfg = shipped_scenario("static.ini")
+    assert shipped_scenario("cooling.ini").snr_db == cfg.snr_db == 92.3
     t_sample = cfg.program.t_start
-    std = closed_form_std(cfg, self_calibrate(cfg), t_sample,
-                          STATIC_MATCHED_SNR_DB)
+    std = closed_form_std(cfg, self_calibrate(cfg), t_sample, cfg.snr_db)
     # std T scales as 10^(-snr/20)
-    snr = (STATIC_MATCHED_SNR_DB
-           + 20.0 * math.log10(std / PUBLISHED_STATIC_STD_K))
-    assert abs(snr - STATIC_MATCHED_SNR_DB) <= 0.1
+    snr = cfg.snr_db + 20.0 * math.log10(std / PUBLISHED_STATIC_STD_K)
+    assert abs(snr - cfg.snr_db) <= 0.1
 
 
 def test_mixing_monte_carlo_matches_closed_form():
     # a 1200-sample window keeps 1000 trials well under a second
     plan = plan_frequencies(6000, 1500, 600000, mains=None, window_periods=3)
-    cfg = default_scenario(plan=plan, cal_temperatures=(310.0, 315.0, 320.0),
-                           cal_kind="affine_in_inverse_tau")
+    cfg = replace(default_scenario(), plan=plan,
+                  cal_temperatures=(310.0, 315.0, 320.0),
+                  cal_kind="affine_in_inverse_tau")
     cal = self_calibrate(cfg)
     n_trials = 1000
     std, n_flagged = monte_carlo_std(cfg, 315.0, 80.0, n_trials, cal)

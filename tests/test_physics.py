@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mnpthermo import (FieldCorrectionModel, ParticleSpec, debye_response,
-                       langevin, tau_brownian, tau_effective,
-                       tau_field_corrected, tau_neel)
+from mnpthermo import (ParticleSpec, debye_response, langevin, tau_brownian,
+                       tau_effective, tau_field_corrected, tau_neel)
+from mnpthermo import physics
 from mnpthermo.physics import TAU_NEEL_CAP
 
 K_B = 1.380649e-23
@@ -142,9 +142,11 @@ class TestFieldCorrection:
         assert tau_field_corrected(1.0, xi) == pytest.approx(factor, rel=1e-12)
         assert factor == pytest.approx(0.79266, abs=1e-5)
 
-    def test_custom_model(self):
-        model = FieldCorrectionModel(coeff=0.5, power=1.0)
-        assert tau_field_corrected(2.0, 6.0, model) == pytest.approx(1.0, rel=1e-12)
+    def test_custom_model(self, monkeypatch):
+        # the formula reads both constants: 2 / sqrt(1 + 0.5 * 6) = 1
+        monkeypatch.setattr(physics, "FIELD_CORRECTION_COEFF", 0.5)
+        monkeypatch.setattr(physics, "FIELD_CORRECTION_POWER", 1.0)
+        assert tau_field_corrected(2.0, 6.0) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDebyeResponse:

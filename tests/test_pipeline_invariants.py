@@ -1,5 +1,7 @@
 """End-to-end estimator invariants that need full channel simulations."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from mnpthermo import estimate_tau
@@ -8,7 +10,7 @@ from mnpthermo.signal_chain import simulate_clean_channels
 
 
 def test_estimated_tau_strictly_decreases_with_temperature():
-    cfg = default_scenario(cal_temperatures=(315.0,))
+    cfg = replace(default_scenario(), cal_temperatures=(315.0,))
     taus = []
     for t in np.linspace(310.0, 320.0, 6):
         channels, _ = simulate_clean_channels(
@@ -21,7 +23,8 @@ def test_estimated_tau_strictly_decreases_with_temperature():
 
 
 def test_quadrupled_noise_power_doubles_error_std():
-    cfg = default_scenario(snr_db=86.0, seed=5, cal_temperatures=(315.0,))
+    cfg = replace(default_scenario(), snr_db=86.0, seed=5,
+                  cal_temperatures=(315.0,))
     cal = self_calibrate(cfg)
     std_1, _ = monte_carlo_std(cfg, 315.0, 86.0, 200, cal)
     # -6.02 dB = 4x the noise power

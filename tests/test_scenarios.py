@@ -11,16 +11,22 @@ from hypothesis import strategies as st
 from mnpthermo import PlanRejection, plan_frequencies, scenarios
 from mnpthermo.errors import ConfigError
 from mnpthermo.estimator import estimate_temperature
-from mnpthermo.scenarios import (RESULT_COLUMNS, STATIC_MATCHED_SNR_DB,
-                                 AmbientModel, ExperimentResult, PointRecord,
+from mnpthermo.scenarios import (RESULT_COLUMNS, AmbientModel,
+                                 ExperimentResult, PointRecord,
                                  ScenarioConfig, TemperatureProgram,
-                                 _point_seed, cooling_scenario,
-                                 default_scenario, emit_csv, load_scenario,
-                                 monte_carlo_std, nominal_coil_phase,
-                                 run_scenario, self_calibrate,
-                                 static_scenario)
+                                 _point_seed, default_scenario, emit_csv,
+                                 load_scenario, monte_carlo_std,
+                                 nominal_coil_phase, run_scenario,
+                                 self_calibrate)
 from mnpthermo.signal_chain import (NoiseModel, apply_noise,
                                     simulate_clean_channels)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def shipped_scenario(name, seed=0):
+    """A published scenario, read from its file in configs/, at a seed."""
+    return replace(load_scenario(ROOT / "configs" / name), seed=seed)
 
 
 class TestPlanFrequencies:
@@ -134,17 +140,16 @@ class TestAmbientModel:
 class TestRunScenario:
     def test_composed_zero_noise_exact(self):
         # composed forward model + per-line reference: exact inverse
-        cfg = default_scenario(phase_model="composed",
-                               cal_temperatures=(315.0,),
-                               program=TemperatureProgram(
-                                   "cooling", 318.0, 312.0, 60.0, 4, 30.0))
-        cfg = replace(cfg, ref_policy="line")
+        cfg = replace(default_scenario(), phase_model="composed",
+                      ref_policy="line", cal_temperatures=(315.0,),
+                      program=TemperatureProgram("cooling", 318.0, 312.0,
+                                                 60.0, 4, 30.0))
         result = run_scenario(cfg)
         assert result.summary["n_flagged"] == 0
         assert result.summary["max_abs_error_k"] < 1e-9
 
     def test_deterministic_csv(self, tmp_path):
-        cfg = static_scenario(seed=9)
+        cfg = shipped_scenario("static.ini", seed=9)
         cfg = replace(cfg, program=TemperatureProgram("constant", 315.6,
                                                       315.6, 5.0, 4))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -153,20 +158,20 @@ class TestRunScenario:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_seed_changes_noise(self, tmp_path):
-        base = static_scenario(seed=1)
+        base = shipped_scenario("static.ini", seed=1)
         prog = TemperatureProgram("constant", 315.6, 315.6, 5.0, 3)
         r1 = run_scenario(replace(base, program=prog))
-        r2 = run_scenario(replace(static_scenario(seed=2), program=prog))
+        r2 = run_scenario(replace(base, seed=2, program=prog))
         assert r1.records[0].t_est != r2.records[0].t_est
 
     def test_flagged_rows_carried(self):
         # impossible analysis plan: mixing lines absent from the channels
-        cfg = default_scenario(program=TemperatureProgram("constant", 315.0,
-                                                          315.0, 2.0, 2))
+        cfg = replace(default_scenario(), program=TemperatureProgram(
+            "constant", 315.0, 315.0, 2.0, 2))
         bad_plan = plan_frequencies(6000, 1570, 500000, 50)
         bad_plan = replace(bad_plan, f_plus=8000.0, f_minus=4000.0)
         cfg = replace(cfg, plan=bad_plan)
-        cal_cfg = default_scenario(program=cfg.program)
+        cal_cfg = replace(default_scenario(), program=cfg.program)
         result = run_scenario(cfg, cal=self_calibrate(cal_cfg))
         assert result.summary["n_points"] == 2
         assert result.summary["n_flagged"] == 2
@@ -204,8 +209,9 @@ class TestCleanSynthesisReuse:
                                                  ("cooling", 5)])
     def test_one_synthesis_per_held_temperature(self, monkeypatch, kind,
                                                 syntheses):
-        cfg = replace(static_scenario(seed=4), program=TemperatureProgram(
-            kind, 316.0, 312.0, 40.0, 5, 30.0))
+        cfg = replace(shipped_scenario("static.ini", seed=4),
+                      program=TemperatureProgram(kind, 316.0, 312.0, 40.0, 5,
+                                                 30.0))
         cal = self_calibrate(cfg)
         calls = []
         real = scenarios.simulate_clean_channels
@@ -219,11 +225,12 @@ class TestCleanSynthesisReuse:
         assert len(calls) == syntheses
 
     @pytest.mark.parametrize("cfg", [
-        replace(static_scenario(seed=5), program=TemperatureProgram(
-            "constant", 315.6, 315.6, 5.0, 4)),
-        replace(cooling_scenario(seed=5), program=TemperatureProgram(
-            "cooling", 320.0, 310.0, 60.0, 4, 30.0)),
-        default_scenario(program=TemperatureProgram(
+        replace(shipped_scenario("static.ini", seed=5),
+                program=TemperatureProgram("constant", 315.6, 315.6, 5.0, 4)),
+        replace(shipped_scenario("cooling.ini", seed=5),
+                program=TemperatureProgram("cooling", 320.0, 310.0, 60.0, 4,
+                                           30.0)),
+        replace(default_scenario(), program=TemperatureProgram(
             "constant", 315.6, 315.6, 5.0, 3)),
     ], ids=["static-noisy", "cooling-noisy", "constant-noiseless"])
     def test_records_equal_per_point_synthesis(self, cfg):
@@ -232,26 +239,27 @@ class TestCleanSynthesisReuse:
         assert rows == _per_point_rows(cfg, cal)
 
     def test_monte_carlo_std_unchanged(self):
-        cfg = static_scenario(seed=6)
+        cfg = shipped_scenario("static.ini", seed=6)
         cal = self_calibrate(cfg)
         t_sample, n_trials = 315.6, 16
         clean, ref_amp = simulate_clean_channels(
             cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
             cfg.ambient.ambient(t_sample))
-        noise = NoiseModel(STATIC_MATCHED_SNR_DB, cfg.seed)
+        noise = NoiseModel(cfg.snr_db, cfg.seed)
         errors = []
         for j in range(n_trials):
             est = _estimate(cfg, cal, apply_noise(clean, noise, ref_amp,
                                                   _point_seed(cfg.seed, 0, j)))
             errors.append(est.t_est - t_sample)
-        assert monte_carlo_std(cfg, t_sample, STATIC_MATCHED_SNR_DB,
-                               n_trials, cal) == (float(np.std(errors)), 0)
+        assert monte_carlo_std(cfg, t_sample, cfg.snr_db, n_trials,
+                               cal) == (float(np.std(errors)), 0)
 
 
 @pytest.mark.parametrize("n_trials", [0, -3])
 def test_monte_carlo_std_needs_a_trial(n_trials):
     with pytest.raises(ValueError, match="n_trials must be at least 1"):
-        monte_carlo_std(static_scenario(), 315.6, 40.0, n_trials)
+        monte_carlo_std(shipped_scenario("static.ini"), 315.6, 40.0,
+                        n_trials)
 
 
 def read_result_csv(path) -> ExperimentResult:
@@ -306,8 +314,6 @@ class TestCsv:
             emit_csv(self._result(), tmp_path / "no" / "dir" / "r.csv")
         assert "r.csv" in str(info.value)
 
-
-ROOT = Path(__file__).resolve().parents[1]
 
 SCENARIO_INI = """
 [particle]
@@ -395,14 +401,6 @@ class TestConfigFile:
     @pytest.mark.parametrize("name", ["static.ini", "cooling.ini"])
     def test_shipped_configs_load(self, name):
         assert load_scenario(ROOT / "configs" / name).snr_db == 92.3
-
-    @pytest.mark.parametrize("name, factory", [
-        ("static.ini", static_scenario), ("cooling.ini", cooling_scenario)])
-    def test_shipped_configs_equal_factories(self, name, factory):
-        # the acceptance tests run the factories, the CLI and the
-        # benchmark run the files: one experiment
-        assert_same_scenario(load_scenario(ROOT / "configs" / name),
-                             factory())
 
     def test_empty_snr_disables_noise(self, tmp_path):
         path = tmp_path / "snr.ini"
