@@ -12,12 +12,10 @@ from dataclasses import replace
 
 from .errors import (ConfigError, EstimationError, PlanRejection,
                      QuadratureError)
-from .estimator import estimate_temperature
 from .figures import FIGURE_IDS, generate_figure
-from .scenarios import (format_field, load_scenario, nominal_coil_phase,
-                        plan_frequencies, result_csv_lines, run_scenario,
-                        self_calibrate)
-from .signal_chain import NoiseModel, apply_noise, simulate_clean_channels
+from .scenarios import (format_field, load_scenario, plan_frequencies,
+                        result_csv_lines, run_scenario, self_calibrate)
+from .signal_chain import NoiseModel, apply_noise
 
 
 def _write_lines(lines, out):
@@ -56,9 +54,7 @@ def _measured_channels(args):
                 else args.temperature)
     if not t_sample > 0:  # also rejects nan
         raise ConfigError(f"--temperature must be positive (got {t_sample!r} K)")
-    channels, ref_amp = simulate_clean_channels(
-        cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
-        cfg.ambient.ambient(t_sample))
+    channels, ref_amp = cfg.clean_channels(t_sample)
     channels = apply_noise(channels, NoiseModel(cfg.snr_db, cfg.seed), ref_amp)
     return cfg, t_sample, channels
 
@@ -78,11 +74,7 @@ def _cmd_simulate(args):
 
 def _cmd_estimate(args):
     cfg, t_sample, channels = _measured_channels(args)
-    cal = self_calibrate(cfg)
-    est = estimate_temperature(channels, cfg.plan, cfg.amplifier, cal,
-                               cfg.mode, phi_o=cfg.phi_o,
-                               ref_frequency=cfg.ref_frequency(),
-                               nominal_coil_phase=nominal_coil_phase(cfg))
+    est = cfg.estimate(channels, self_calibrate(cfg))
     if not est.valid:
         raise EstimationError(est.error)
     header = "t_true_k,t_est_k,tau_est_s,phi_h_rad,phi_plus_rad,phi_minus_rad"

@@ -36,8 +36,17 @@ def _bin_projection(ts: TimeSeries, f):
     return complex(ts.spectrum[k])
 
 
-def _channel_peak(ts: TimeSeries):
-    return float(np.abs(ts.spectrum[1:]).max()) if ts.spectrum.size > 1 else 0.0
+def _sample_line(ch: MeasurementChannels, f):
+    """Background-subtracted sample phasor at line f.
+
+    Raises EstimationError when it is below the line floor of the sample
+    channel.
+    """
+    z = (_bin_projection(ch.diff_sample, f)
+         - _bin_projection(ch.diff_background, f))
+    if abs(z) <= _LINE_FLOOR_FRACTION * max(ch.diff_sample.peak, 1e-300):
+        raise EstimationError(f"no detectable sample line at {f} Hz")
+    return z
 
 
 def sample_phase(ch: MeasurementChannels, amp: AmplifierModel, f, phi_o=0.0,
@@ -54,16 +63,10 @@ def sample_phase(ch: MeasurementChannels, amp: AmplifierModel, f, phi_o=0.0,
     Raises EstimationError when the difference or reference line is
     undetectable.
     """
-    z_diff = (_bin_projection(ch.diff_sample, f)
-              - _bin_projection(ch.diff_background, f))
-    floor = _LINE_FLOOR_FRACTION * max(_channel_peak(ch.diff_sample), 1e-300)
-    if abs(z_diff) <= floor:
-        raise EstimationError(f"no detectable sample line at {f} Hz")
-
+    z_diff = _sample_line(ch, f)
     f_ref = f if ref_frequency is None else ref_frequency
     z_ref = _bin_projection(ch.ref_a, f_ref)
-    ref_floor = _LINE_FLOOR_FRACTION * max(_channel_peak(ch.ref_a), 1e-300)
-    if abs(z_ref) <= ref_floor:
+    if abs(z_ref) <= _LINE_FLOOR_FRACTION * max(ch.ref_a.peak, 1e-300):
         raise EstimationError(f"reference channel has no line at {f_ref} Hz")
 
     z = z_diff * np.conj(z_ref) / abs(z_ref)
@@ -172,15 +175,13 @@ def _line_diagnostics(ch: MeasurementChannels, frequencies):
     spectrum = ch.diff_sample.spectrum
     w = int(round(ch.diff_sample.duration * ch.f_base))
     for f in frequencies:
-        z = (_bin_projection(ch.diff_sample, f)
-             - _bin_projection(ch.diff_background, f))
-        amp = abs(z)
+        amp = abs(_sample_line(ch, f))
         k = int(round(f * n / ch.diff_sample.sample_rate))
         probe = [k + j * w for j in (-9, -7, 7, 9) if 0 < k + j * w < spectrum.size]
         floor = float(np.median(np.abs(spectrum[probe]))) if probe else 0.0
         diag[f] = {"amplitude": amp,
                    "snr_db": (20.0 * math.log10(amp / floor)
-                              if floor > 0.0 and amp > 0.0 else math.inf)}
+                              if floor > 0.0 else math.inf)}
     return diag
 
 
@@ -194,12 +195,7 @@ def direct_line_phase(ch: MeasurementChannels, amp: AmplifierModel, f,
     measurement the added reference channel is meant to improve on, so
     coil-phase drift passes straight through.
     """
-    z = (_bin_projection(ch.diff_sample, f)
-         - _bin_projection(ch.diff_background, f))
-    floor = _LINE_FLOOR_FRACTION * max(_channel_peak(ch.diff_sample), 1e-300)
-    if abs(z) <= floor:
-        raise EstimationError(f"no detectable sample line at {f} Hz")
-    raw = cmath.phase(z) - float(amp.phase(f))
+    raw = cmath.phase(_sample_line(ch, f)) - float(amp.phase(f))
     return wrap_phase(raw - nominal_coil_phase + FARADAY_UNSHIFT)
 
 

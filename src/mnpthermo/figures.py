@@ -11,16 +11,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import direct_line_phase, estimate_tau, estimate_temperature
+from .estimator import direct_line_phase
 from .magnetization import (FieldConfig, SamplingGrid, fourier_coefficients,
                             magnetization_spectrum, spectral_magnetization)
 from .physics import (debye_response, tau_brownian, tau_effective,
                       tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ScenarioConfig, TemperatureProgram,
                         default_particle, default_scenario, format_field,
-                        ideal_coils, monte_carlo_std, nominal_coil_phase,
-                        plan_frequencies, self_calibrate)
-from .signal_chain import AmplifierModel, simulate_clean_channels
+                        ideal_coils, monte_carlo_std, plan_frequencies,
+                        self_calibrate)
+from .signal_chain import AmplifierModel
 
 FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig3", "fig4", "fig8", "fig9")
 
@@ -129,25 +129,16 @@ def figure_mixing_vs_single(t_min=310.0, t_max=320.0, n_points=21) -> FigureTabl
     cfg_sin = replace(cfg_mix, mode="single")
     cal_mix = self_calibrate(cfg_mix)
     cal_sin = self_calibrate(cfg_sin)
-    nom = nominal_coil_phase(cfg_sin)
 
     rows = []
     for t_true in np.linspace(t_min, t_max, n_points):
         t_true = float(t_true)
-        t_amb = ambient.ambient(t_true)
-        results = {}
-        for cfg, cal, label in ((cfg_mix, cal_mix, "mixing"),
-                                (cfg_sin, cal_sin, "single")):
-            channels, _ = simulate_clean_channels(
-                cfg.field_config(), cfg.particle, t_true, cfg.chain(), t_amb)
-            est = estimate_temperature(
-                channels, plan, cfg.amplifier, cal, cfg.mode,
-                ref_frequency=cfg.ref_frequency(), nominal_coil_phase=nom)
-            results[label] = est
-        rows.append((t_true,
-                     results["single"].phi_h, results["mixing"].phi_h,
-                     results["single"].t_est - t_true,
-                     results["mixing"].t_est - t_true))
+        # the two modes differ only in the estimator: one synthesis serves both
+        channels, _ = cfg_mix.clean_channels(t_true)
+        single = cfg_sin.estimate(channels, cal_sin)
+        mixing = cfg_mix.estimate(channels, cal_mix)
+        rows.append((t_true, single.phi_h, mixing.phi_h,
+                     single.t_est - t_true, mixing.t_est - t_true))
     errs_single = [abs(r[3]) for r in rows]
     errs_mixing = [abs(r[4]) for r in rows]
     return FigureTable(
@@ -203,19 +194,18 @@ def figure_phase_drift(t_amb_min=295.0, t_amb_max=305.0, n_points=11,
 
     The sample stays at a fixed temperature; only the coils drift. The
     mixing-line reconstruction with reference correction should change far
-    less per kelvin than the directly measured phase.
+    less per kelvin than the directly measured phase. phi_h_direct_rad
+    keeps the static coil phase (nominal coil phase 0), because only its
+    slope is compared.
     """
-    cfg = replace(default_scenario(), cal_temperatures=(t_sample,))
-    plan = cfg.plan
+    cfg = default_scenario()
     rows = []
     for t_amb in np.linspace(t_amb_min, t_amb_max, n_points):
         t_amb = float(t_amb)
-        channels, _ = simulate_clean_channels(
-            cfg.field_config(), cfg.particle, t_sample, cfg.chain(), t_amb)
-        tau_m, phi_mix, phi_p, phi_m, _ = estimate_tau(
-            channels, plan, cfg.amplifier, "mixing",
-            ref_frequency=cfg.ref_frequency())
-        phi_direct = direct_line_phase(channels, cfg.amplifier, plan.f_high)
+        channels, _ = cfg.clean_channels(t_sample, t_amb)
+        _, phi_mix, phi_p, phi_m, _ = cfg.tau(channels)
+        phi_direct = direct_line_phase(channels, cfg.amplifier,
+                                       cfg.plan.f_high)
         rows.append((t_amb, phi_p, phi_m, phi_direct, phi_mix))
     t = np.array([r[0] for r in rows])
     direct = np.array([r[3] for r in rows])

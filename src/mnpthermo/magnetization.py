@@ -118,6 +118,12 @@ class TimeSeries:
         spectrum.flags.writeable = False
         return spectrum
 
+    @cached_property
+    def peak(self):
+        """Amplitude of the strongest line above DC (0 without one)."""
+        return (float(np.abs(self.spectrum[1:]).max())
+                if self.spectrum.size > 1 else 0.0)
+
     @property
     def times(self):
         return np.arange(self.samples.size) / self.sample_rate

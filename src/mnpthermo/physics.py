@@ -53,14 +53,6 @@ class ParticleSpec:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def v_core(self):
-        return float(sphere_volume(self.d_core))
-
-    @property
-    def v_hydro(self):
-        return float(sphere_volume(self.d_hydro))
-
     @classmethod
     def from_bulk_magnetization(cls, d_core, d_hydro, k_aniso, m_s_bulk,
                                 n_conc, eta, tau_0=1e-9):

@@ -8,6 +8,7 @@ against reference temperatures, Monte Carlo helpers, and CSV emission.
 import configparser
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,6 +171,50 @@ class ScenarioConfig:
     def ref_frequency(self):
         return None if self.ref_policy == "line" else self.plan.f_high
 
+    def nominal_coil_phase(self):
+        """Coil-A phase at f_high at the calibration-time coil temperature.
+
+        The single-frequency baseline subtracts this known static phase;
+        only the temperature drift relative to it corrupts that estimator.
+        """
+        t_cal = float(np.mean(self.cal_temperatures))
+        _, phase = coil_transfer(self.coil_a, 2.0 * math.pi * self.plan.f_high,
+                                 self.ambient.ambient(t_cal))
+        return phase
+
+    # The one synthesis (clean_channels) and estimator (tau, estimate)
+    # entry points, binding every option in one place. They look up the
+    # module-level functions by name, which perfbench/worker.py wraps.
+
+    def clean_channels(self, t_sample, t_amb=None):
+        """Noiseless channels at t_sample: (channels, reference_amplitude).
+
+        The coils sit at t_amb, by default the ambient model's temperature
+        for t_sample.
+        """
+        if t_amb is None:
+            t_amb = self.ambient.ambient(t_sample)
+        return simulate_clean_channels(self.field_config(), self.particle,
+                                       t_sample, self.chain(), t_amb)
+
+    @cached_property
+    def _estimator_options(self):
+        return {"phi_o": self.phi_o, "ref_frequency": self.ref_frequency(),
+                "nominal_coil_phase": self.nominal_coil_phase()}
+
+    def tau(self, channels):
+        """(tau, phi_h, phi_plus, phi_minus, diagnostics) of channels.
+
+        Raises EstimationError where estimate() would flag the channels.
+        """
+        return estimate_tau(channels, self.plan, self.amplifier, self.mode,
+                            **self._estimator_options)
+
+    def estimate(self, channels, cal: CalibrationModel):
+        """Temperature estimate of channels through calibration cal."""
+        return estimate_temperature(channels, self.plan, self.amplifier, cal,
+                                    self.mode, **self._estimator_options)
+
 
 @dataclass
 class PointRecord:
@@ -207,18 +252,6 @@ def _point_seed(master_seed, point_index, trial_index=0):
                                   spawn_key=(point_index, trial_index))
 
 
-def nominal_coil_phase(cfg: ScenarioConfig):
-    """Coil-A phase at f_high at the calibration-time coil temperature.
-
-    The single-frequency baseline subtracts this known static phase; only
-    the temperature drift relative to it corrupts that estimator.
-    """
-    t_cal = float(np.mean(cfg.cal_temperatures))
-    _, phase = coil_transfer(cfg.coil_a, 2.0 * math.pi * cfg.plan.f_high,
-                             cfg.ambient.ambient(t_cal))
-    return phase
-
-
 def self_calibrate(cfg: ScenarioConfig) -> CalibrationModel:
     """Fit the tau -> T map from noiseless runs at the reference temps.
 
@@ -226,18 +259,10 @@ def self_calibrate(cfg: ScenarioConfig) -> CalibrationModel:
     (not true) relaxation time is paired with the known temperature, so
     slowly-varying pipeline bias is absorbed by the fit.
     """
-    fld = cfg.field_config()
-    chain = cfg.chain()
-    nom = nominal_coil_phase(cfg)
     points = []
     for t_ref in cfg.cal_temperatures:
-        channels, _ = simulate_clean_channels(fld, cfg.particle, t_ref, chain,
-                                              cfg.ambient.ambient(t_ref))
-        tau, *_ = estimate_tau(channels, cfg.plan, cfg.amplifier, cfg.mode,
-                               phi_o=cfg.phi_o,
-                               ref_frequency=cfg.ref_frequency(),
-                               nominal_coil_phase=nom)
-        points.append((tau, t_ref))
+        channels, _ = cfg.clean_channels(t_ref)
+        points.append((cfg.tau(channels)[0], t_ref))
     return calibrate(points, cfg.cal_kind)
 
 
@@ -255,22 +280,14 @@ def _estimates(cfg, cal, noise, draws):
     on every draw. A new temperature drops the old sets before
     synthesizing, so it holds no extra channel set meanwhile.
     """
-    fld = cfg.field_config()
-    chain = cfg.chain()
-    nom = nominal_coil_phase(cfg)
     clean_t = None
     for t_sample, seed_sequence in draws:
         if t_sample != clean_t:
             clean_t = t_sample
             clean = noisy = None
-            clean, ref_amp = simulate_clean_channels(
-                fld, cfg.particle, t_sample, chain,
-                cfg.ambient.ambient(t_sample))
+            clean, ref_amp = cfg.clean_channels(t_sample)
         noisy = apply_noise(clean, noise, ref_amp, seed_sequence)
-        yield estimate_temperature(noisy, cfg.plan, cfg.amplifier, cal,
-                                   cfg.mode, phi_o=cfg.phi_o,
-                                   ref_frequency=cfg.ref_frequency(),
-                                   nominal_coil_phase=nom)
+        yield cfg.estimate(noisy, cal)
 
 
 def run_scenario(cfg: ScenarioConfig, cal: CalibrationModel | None = None) -> ExperimentResult:

@@ -17,7 +17,7 @@ from mnpthermo.figures import (figure_error_vs_snr, figure_mixing_vs_single,
 from mnpthermo.scenarios import (TemperatureProgram, default_scenario,
                                  emit_csv, ideal_coils, run_scenario,
                                  self_calibrate)
-from mnpthermo.signal_chain import NoiseModel, apply_noise, simulate_clean_channels
+from mnpthermo.signal_chain import NoiseModel, apply_noise
 from tests.test_scenarios import shipped_scenario
 
 
@@ -28,17 +28,11 @@ def report(number, ok, message):
 
 
 def estimate_at(cfg, t_sample, cal, seed_entropy=None):
-    channels, ref_amp = simulate_clean_channels(
-        cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
-        cfg.ambient.ambient(t_sample))
+    channels, ref_amp = cfg.clean_channels(t_sample)
     if seed_entropy is not None:
         channels = apply_noise(channels, NoiseModel(cfg.snr_db, cfg.seed),
                                ref_amp, np.random.SeedSequence(seed_entropy))
-    from mnpthermo.scenarios import nominal_coil_phase
-    return m.estimate_temperature(
-        channels, cfg.plan, cfg.amplifier, cal, cfg.mode, phi_o=cfg.phi_o,
-        ref_frequency=cfg.ref_frequency(),
-        nominal_coil_phase=nominal_coil_phase(cfg))
+    return cfg.estimate(channels, cal)
 
 
 def test_1_cross_oracle_physics(particle, operating_field):
@@ -103,10 +97,7 @@ def test_4_cross_model_bias_and_affine_residual():
     wp, wm, wh = (2 * math.pi * f for f in (9140.0, 2860.0, 6000.0))
     predicted = 0.5 * (math.atan(wp * tau300) + math.atan(wm * tau300)) \
         - math.atan(wh * tau300)
-    channels, _ = simulate_clean_channels(cfg.field_config(), cfg.particle,
-                                          300.0, cfg.chain(), 300.0)
-    _, phi_h, *_ = m.estimate_tau(channels, cfg.plan, cfg.amplifier, "mixing",
-                                  ref_frequency=cfg.ref_frequency())
+    _, phi_h, *_ = cfg.tau(cfg.clean_channels(300.0, 300.0)[0])
     bias = phi_h - math.atan(wh * tau300)
     bias_ok = abs(bias - predicted) < 1e-4
 

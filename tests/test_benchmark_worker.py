@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from mnpthermo.scenarios import load_scenario
 from tests.test_scenarios import ROOT
 
 
@@ -33,4 +34,9 @@ def test_worker_runs(tmp_path, kind, count, trace):
     if trace:
         layers = report["trace"]["layers"]
         assert "signal_chain.apply_noise" in layers
+        assert "signal_chain.simulate_clean_channels" in layers
         assert "estimator.estimate_temperature" in layers
+        # self_calibrate: one estimate_tau per calibration temperature
+        n_cal = len(load_scenario(ROOT / "configs" / "static.ini")
+                    .cal_temperatures)
+        assert layers["estimator.estimate_tau"]["calls"] == n_cal

@@ -2,12 +2,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from mnpthermo import magnetization, signal_chain
 from mnpthermo.cli import main
-from tests.test_scenarios import ROOT, SCENARIO_INI
+from mnpthermo.scenarios import emit_csv, run_scenario
+from tests.test_scenarios import ROOT, SCENARIO_INI, shipped_scenario
 
 
 @pytest.fixture
@@ -223,6 +225,19 @@ class TestScenario:
         lines = capsys.readouterr().out.strip().splitlines()
         row = lines[1].split(",")
         assert row[-1] == "1"  # valid estimate in single mode too
+
+    def test_run_equals_api(self, tmp_path):
+        """The CLI writes the bytes emit_csv(run_scenario(...)) writes for
+        the scenario the flags describe."""
+        cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert main(["scenario", "run", str(ROOT / "configs" / "static.ini"),
+                     "--seed", "7", "--trials", "3",
+                     "--out", str(cli_csv)]) == 0
+        cfg = shipped_scenario("static.ini", seed=7)
+        emit_csv(run_scenario(replace(cfg, program=replace(cfg.program,
+                                                           n_points=3))),
+                 api_csv)
+        assert cli_csv.read_bytes() == api_csv.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,13 +9,12 @@ from mnpthermo import (AmplifierModel, CalibrationModel, EstimationError,
                        TimeSeries, calibrate, estimate_temperature,
                        phi_h_from_mixing, sample_phase, tau_brownian,
                        tau_from_phase)
-from mnpthermo.estimator import _bin_projection, _channel_peak, wrap_phase
+from mnpthermo.estimator import _bin_projection, wrap_phase
 from mnpthermo.scenarios import measured_coils
 from mnpthermo.signal_chain import (NoiseModel, _difference_lines,
                                     _synthesize, _through_amplifier,
                                     apply_noise, coil_transfer,
-                                    feedthrough_lines,
-                                    simulate_clean_channels)
+                                    feedthrough_lines)
 from tests.oracles import dft_line
 from tests.test_scenarios import shipped_scenario
 
@@ -59,10 +58,7 @@ class TestExtractPhasor:
         # every channel at every line the estimator reads, against the
         # direct-summation oracle; noise is the seed-0 stream
         cfg = shipped_scenario("static.ini")
-        t_sample = cfg.program.t_start
-        channels, ref_amp = simulate_clean_channels(
-            cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
-            cfg.ambient.ambient(t_sample))
+        channels, ref_amp = cfg.clean_channels(cfg.program.t_start)
         if noisy:
             channels = apply_noise(channels, NoiseModel(cfg.snr_db, 0),
                                    ref_amp)
@@ -71,7 +67,7 @@ class TestExtractPhasor:
                    channels.ref_a):
             for f in (plan.f_plus, plan.f_minus, plan.f_high, plan.f_low):
                 assert abs(_bin_projection(ts, f) - dft_line(ts, f)) \
-                    <= 1e-13 * _channel_peak(ts)
+                    <= 1e-13 * ts.peak
 
 
 def synthetic_channels(phi_s_by_freq, phi_o=0.0, coil_b=None,

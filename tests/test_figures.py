@@ -79,13 +79,22 @@ class TestComparisonFigures:
     def test_fig3_mixing_beats_single(self):
         table = figure_mixing_vs_single(n_points=11)
         assert table.meta["max_error_mixing_k"] < table.meta["max_error_single_k"]
+        # both maxima sit at 320 K, a row at any odd n_points
+        assert table.meta["max_error_single_k"] == pytest.approx(
+            3.1973325659505463, abs=1e-9)
+        assert table.meta["max_error_mixing_k"] == pytest.approx(
+            1.471988780662116, abs=1e-9)
         assert table.meta["published_max_error_single_k"] == 0.56
         assert table.meta["published_max_error_mixing_k"] == 0.08
 
     def test_fig9_drift_suppression(self):
-        table = figure_phase_drift(n_points=7)
+        table = figure_phase_drift()
         assert abs(table.meta["slope_mixing_deg_per_k"]) < \
             abs(table.meta["slope_direct_deg_per_k"])
+        assert table.meta["slope_direct_deg_per_k"] == pytest.approx(
+            -0.03645644514718723, abs=1e-9)
+        assert table.meta["slope_mixing_deg_per_k"] == pytest.approx(
+            -0.010683405442631496, abs=1e-9)
         assert table.meta["published_slope_direct_deg_per_k"] == 0.57
         assert table.meta["published_slope_mixing_deg_per_k"] == 0.05
 

@@ -22,18 +22,16 @@ from dataclasses import replace
 from mnpthermo import figures
 from mnpthermo.scenarios import (default_scenario, monte_carlo_std,
                                  plan_frequencies, self_calibrate)
-from mnpthermo.signal_chain import NoiseModel, simulate_clean_channels
+from mnpthermo.signal_chain import NoiseModel
 from tests.oracles import dft_line
-from tests.test_scenarios import _estimate, shipped_scenario
+from tests.test_scenarios import shipped_scenario
 
 PUBLISHED_STATIC_STD_K = 0.0267
 
 
 def closed_form_std(cfg, cal, t_sample, snr_db):
     """First-order temperature-error std at snr_db (see module docstring)."""
-    clean, ref_amp = simulate_clean_channels(
-        cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
-        cfg.ambient.ambient(t_sample))
+    clean, ref_amp = cfg.clean_channels(t_sample)
     sigma = NoiseModel(snr_db).sigma(ref_amp)
     s2 = 2.0 * sigma**2 / clean.ref_a.samples.size  # per component, per bin
 
@@ -50,7 +48,7 @@ def closed_form_std(cfg, cal, t_sample, snr_db):
         var_phi = (0.5 * s2 * (1.0 / line(plan.f_plus) ** 2
                                + 1.0 / line(plan.f_minus) ** 2)
                    + s2 / a_ref ** 2)
-    est = _estimate(cfg, cal, clean)
+    est = cfg.estimate(clean, cal)
     sin_cos = abs(math.sin(est.phi_h) * math.cos(est.phi_h))
     return (est.t_est - cal.b) / sin_cos * math.sqrt(var_phi)
 

@@ -4,21 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from mnpthermo import estimate_tau
 from mnpthermo.scenarios import default_scenario, monte_carlo_std, self_calibrate
-from mnpthermo.signal_chain import simulate_clean_channels
 
 
 def test_estimated_tau_strictly_decreases_with_temperature():
     cfg = replace(default_scenario(), cal_temperatures=(315.0,))
     taus = []
     for t in np.linspace(310.0, 320.0, 6):
-        channels, _ = simulate_clean_channels(
-            cfg.field_config(), cfg.particle, float(t), cfg.chain(),
-            cfg.ambient.ambient(float(t)))
-        tau, *_ = estimate_tau(channels, cfg.plan, cfg.amplifier, "mixing",
-                               ref_frequency=cfg.ref_frequency())
-        taus.append(tau)
+        channels, _ = cfg.clean_channels(float(t))
+        taus.append(cfg.tau(channels)[0])
     assert all(np.diff(taus) < 0)
 
 

@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 
 from mnpthermo import PlanRejection, plan_frequencies, scenarios
 from mnpthermo.errors import ConfigError
-from mnpthermo.estimator import estimate_temperature
 from mnpthermo.scenarios import (RESULT_COLUMNS, AmbientModel,
                                  ExperimentResult, PointRecord,
                                  ScenarioConfig, TemperatureProgram,
                                  _point_seed, default_scenario, emit_csv,
                                  load_scenario, monte_carlo_std,
-                                 nominal_coil_phase, run_scenario,
-                                 self_calibrate)
-from mnpthermo.signal_chain import (NoiseModel, apply_noise,
-                                    simulate_clean_channels)
+                                 run_scenario, self_calibrate)
+from mnpthermo.signal_chain import NoiseModel, apply_noise
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -178,13 +175,6 @@ class TestRunScenario:
         assert all(not r.ok and math.isnan(r.t_est) for r in result.records)
 
 
-def _estimate(cfg, cal, channels):
-    return estimate_temperature(channels, cfg.plan, cfg.amplifier, cal,
-                                cfg.mode, phi_o=cfg.phi_o,
-                                ref_frequency=cfg.ref_frequency(),
-                                nominal_coil_phase=nominal_coil_phase(cfg))
-
-
 def _per_point_rows(cfg, cal):
     """Reference loop: fresh clean synthesis at every point, then noise."""
     noise = NoiseModel(cfg.snr_db, cfg.seed)
@@ -193,11 +183,9 @@ def _per_point_rows(cfg, cal):
     for i, (t, t_true) in enumerate(zip(times,
                                         cfg.program.temperature(times))):
         t_true = float(t_true)
-        clean, ref_amp = simulate_clean_channels(
-            cfg.field_config(), cfg.particle, t_true, cfg.chain(),
-            cfg.ambient.ambient(t_true))
-        est = _estimate(cfg, cal, apply_noise(clean, noise, ref_amp,
-                                              _point_seed(cfg.seed, i)))
+        clean, ref_amp = cfg.clean_channels(t_true)
+        est = cfg.estimate(apply_noise(clean, noise, ref_amp,
+                                       _point_seed(cfg.seed, i)), cal)
         assert est.valid
         rows.append((float(t), t_true, est.t_est, est.tau_est, est.phi_h,
                      est.t_est - t_true, True))
@@ -242,14 +230,12 @@ class TestCleanSynthesisReuse:
         cfg = shipped_scenario("static.ini", seed=6)
         cal = self_calibrate(cfg)
         t_sample, n_trials = 315.6, 16
-        clean, ref_amp = simulate_clean_channels(
-            cfg.field_config(), cfg.particle, t_sample, cfg.chain(),
-            cfg.ambient.ambient(t_sample))
+        clean, ref_amp = cfg.clean_channels(t_sample)
         noise = NoiseModel(cfg.snr_db, cfg.seed)
         errors = []
         for j in range(n_trials):
-            est = _estimate(cfg, cal, apply_noise(clean, noise, ref_amp,
-                                                  _point_seed(cfg.seed, 0, j)))
+            est = cfg.estimate(apply_noise(clean, noise, ref_amp,
+                                           _point_seed(cfg.seed, 0, j)), cal)
             errors.append(est.t_est - t_sample)
         assert monte_carlo_std(cfg, t_sample, cfg.snr_db, n_trials,
                                cal) == (float(np.std(errors)), 0)
@@ -464,9 +450,23 @@ class TestConfigFile:
             load_scenario(path)
 
 
+@pytest.mark.parametrize("mode", ["mixing", "single"])
+def test_feedthrough_phase_is_bound_in_one_place(mode):
+    """The phi_o the chain adds to the feedthrough, the estimator takes out:
+    synthesis and estimate see the same options."""
+    cfg = replace(default_scenario(), mode=mode)
+    shifted = replace(cfg, phi_o=0.3)
+    cal = self_calibrate(cfg)
+    assert self_calibrate(shifted).a == pytest.approx(cal.a, rel=1e-12)
+    expected = cfg.estimate(cfg.clean_channels(313.0)[0], cal)
+    got = shifted.estimate(shifted.clean_channels(313.0)[0], cal)
+    assert got.valid
+    assert abs(got.t_est - expected.t_est) <= 1e-9
+
+
 def test_nominal_coil_phase_matches_transfer():
     from mnpthermo.signal_chain import coil_transfer
     cfg = default_scenario()
     _, expected = coil_transfer(cfg.coil_a, 2 * math.pi * 6000,
                                 cfg.ambient.ambient(315.0))
-    assert nominal_coil_phase(cfg) == pytest.approx(expected, rel=1e-12)
+    assert cfg.nominal_coil_phase() == pytest.approx(expected, rel=1e-12)
