@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Harmonic-coefficient quadrature failed to converge under node doubling."""
+    """Harmonic quadrature needs too many nodes or fails its aliasing check."""
 
 
 class EstimationError(RuntimeError):

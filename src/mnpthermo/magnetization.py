@@ -27,7 +27,8 @@ from .physics import ParticleSpec, debye_response, langevin
 # and are dropped from waveform synthesis.
 NEGLIGIBLE_LINE_FRACTION = 1e-13
 
-_MAX_QUADRATURE_DOUBLINGS = 12
+QUADRATURE_TOL = 1e-12  # aliasing allowed in a_n, relative to max|a_n|
+MAX_QUADRATURE_NODES = 1 << 25  # one pass: 256 MB per float64 array
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,12 @@ class FieldConfig:
 
     Frequencies must be positive integers (Hz) so the pair shares an exact
     rational base frequency; f_base is their greatest common divisor.
-    Tone phase offsets default to zero and must stay zero for the
-    harmonic-coefficient route (the even-in-time construction).
     """
 
     f_high: float
     f_low: float
     b_high: float
     b_low: float
-    phase_high: float = 0.0
-    phase_low: float = 0.0
 
     def __post_init__(self):
         if not (self.f_high > self.f_low > 0):
@@ -65,8 +62,8 @@ class FieldConfig:
     def b_field(self, t):
         """Instantaneous field (tesla) at time(s) t."""
         t = np.asarray(t, dtype=float)
-        return (self.b_low * np.cos(2 * np.pi * self.f_low * t + self.phase_low)
-                + self.b_high * np.cos(2 * np.pi * self.f_high * t + self.phase_high))
+        return (self.b_low * np.cos(2 * np.pi * self.f_low * t)
+                + self.b_high * np.cos(2 * np.pi * self.f_high * t))
 
 
 @dataclass(frozen=True)
@@ -183,43 +180,44 @@ def default_n_max(fld: FieldConfig, guard_orders=6):
 
 
 def fourier_coefficients(fld: FieldConfig, p: ParticleSpec, temperature,
-                         n_max=None, tol=1e-12) -> HarmonicSet:
+                         n_max=None) -> HarmonicSet:
     """Cosine-series coefficients of M0(t) over one base period.
 
-    a_n = (2/N) * Re rfft(M0)[n] on N uniform nodes: the trapezoidal rule,
-    which converges exponentially on the periodic, analytic M0. N doubles
-    until no coefficient moves by more than tol * max|a_n|, else
-    QuadratureError.
+    a_n = (2/N) * Re rfft(M0)[n] on N uniform nodes (the trapezoidal rule,
+    which folds a_{N-n} onto a_n). L(xi) has its nearest poles at +-i*pi and
+    |Im xi(t+iy)| <= xi_max*sinh(2*pi*f_high*y), so |a_n| <= C*exp(-r*n) with
+    r = asinh(pi/xi_max)*f_base/f_high (exact for one tone). One pass, on the
+    least power of two N >= n_max + ln(1/QUADRATURE_TOL)/r and > 16*n_max.
+    QuadratureError before M0 is evaluated if N > MAX_QUADRATURE_NODES, and
+    after the pass if its top n_max bins times exp(-r*(N/2 - n_max)) exceed
+    QUADRATURE_TOL * max|a_n|.
     """
-    if fld.phase_high != 0.0 or fld.phase_low != 0.0:
-        raise ValueError("harmonic decomposition requires zero tone phases")
+    if not temperature > 0:  # also rejects nan
+        raise ValueError("temperature must be positive")
     if n_max is None:
         n_max = default_n_max(fld)
-    min_cover = (fld.f_high + 4 * fld.f_low) / fld.f_base
-    if n_max < min_cover:
+    if n_max < (fld.f_high + 4 * fld.f_low) / fld.f_base:
         raise ValueError(f"n_max={n_max} does not cover f_high + 4*f_low")
 
-    period = 1.0 / fld.f_base
-    indices = np.arange(1, n_max + 1)
-
-    # At least 8 nodes per period of the analysis harmonic n_max: the
-    # integrand's own content (roughly another n_max) then aliases onto
-    # the kept coefficients only below rounding; the doubling verifies.
-    n_nodes = 1 << max(12, (8 * n_max).bit_length())
-    prev = None
-    for _ in range(_MAX_QUADRATURE_DOUBLINGS):
-        nodes = np.arange(n_nodes) * (period / n_nodes)
-        m0 = equilibrium_magnetization(nodes, fld, p, temperature)
-        coeffs = (2.0 / n_nodes) * np.fft.rfft(m0)[1:n_max + 1].real
-        if prev is not None:
-            scale = np.max(np.abs(coeffs))
-            if np.max(np.abs(coeffs - prev)) <= tol * scale:
-                return HarmonicSet(fld.f_base, indices, coeffs)
-        prev = coeffs
-        n_nodes *= 2
-    raise QuadratureError(
-        f"harmonic coefficients did not converge after "
-        f"{_MAX_QUADRATURE_DOUBLINGS} doublings (tol={tol})")
+    moment_field = p.m_s * (fld.b_high + fld.b_low)  # k_B*T * xi_max
+    rate = (math.asinh(math.pi * K_BOLTZMANN * temperature / moment_field)
+            * fld.f_base / fld.f_high if moment_field else math.inf)
+    need = n_max + math.log(1 / QUADRATURE_TOL) / rate if rate else math.inf
+    bits = math.ceil(math.log2(min(need, 2 * MAX_QUADRATURE_NODES)))
+    n_nodes = max(2 << max(12, (8 * n_max).bit_length()), 1 << bits)
+    if n_nodes > MAX_QUADRATURE_NODES:
+        raise QuadratureError(f"harmonic quadrature at {temperature} K needs "
+                              f"{max(need, n_nodes):.3g} nodes (> 2^25)")
+    nodes = np.arange(n_nodes) * ((1.0 / fld.f_base) / n_nodes)
+    spectrum = np.fft.rfft(equilibrium_magnetization(nodes, fld, p,
+                                                     temperature))
+    coeffs = (2.0 / n_nodes) * spectrum[1:n_max + 1].real
+    folded = ((2.0 / n_nodes) * np.abs(spectrum[-n_max:]).max()
+              * math.exp(-rate * (n_nodes // 2 - n_max)))
+    if folded > QUADRATURE_TOL * np.max(np.abs(coeffs)):
+        raise QuadratureError(f"harmonic quadrature at {temperature} K "
+                              f"aliases {folded:.3g} onto its coefficients")
+    return HarmonicSet(fld.f_base, np.arange(1, n_max + 1), coeffs)
 
 
 def synthesize_lines(frequencies, phasors, grid: SamplingGrid, f_base):

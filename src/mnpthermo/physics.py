@@ -12,9 +12,8 @@ import numpy as np
 
 from .constants import K_BOLTZMANN
 
-# Neel times above this value are treated as "effectively infinite"
-# (moment frozen); parallel combination with any finite Brownian time
-# then returns the Brownian time exactly in float64.
+# Neel times at or above this value are treated as "effectively infinite"
+# (moment frozen); tau_effective then returns the Brownian time exactly.
 TAU_NEEL_CAP = 1e30
 
 _LANGEVIN_SERIES_CUTOFF = 1e-2
@@ -107,14 +106,16 @@ def tau_neel(d_core, k_aniso, temperature, tau_0=1e-9):
 def tau_effective(tau_b, tau_n):
     """Parallel combination tau_b*tau_n / (tau_b + tau_n).
 
-    Never exceeds either input; returns tau_b exactly when tau_n has been
-    saturated to TAU_NEEL_CAP (and vice versa).
+    Never exceeds either input; a tau_n at or above TAU_NEEL_CAP is infinite,
+    so tau_b comes back exactly, with no product formed (and vice versa).
     """
-    tb = np.asarray(tau_b, dtype=float)
-    tn = np.asarray(tau_n, dtype=float)
+    tb, tn = np.broadcast_arrays(np.asarray(tau_b, dtype=float),
+                                 np.asarray(tau_n, dtype=float))
     if np.any(tb <= 0.0) or np.any(tn <= 0.0):
         raise ValueError("relaxation times must be positive")
-    result = tb * tn / (tb + tn)
+    result = np.where(tn >= TAU_NEEL_CAP, tb, tn)
+    free = (tb < TAU_NEEL_CAP) & (tn < TAU_NEEL_CAP)
+    result[free] = tb[free] * tn[free] / (tb[free] + tn[free])
     return float(result) if result.ndim == 0 else result
 
 

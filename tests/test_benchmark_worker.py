@@ -40,3 +40,6 @@ def test_worker_runs(tmp_path, kind, count, trace):
         n_cal = len(load_scenario(ROOT / "configs" / "static.ini")
                     .cal_temperatures)
         assert layers["estimator.estimate_tau"]["calls"] == n_cal
+        # one quadrature pass per harmonic decomposition
+        assert (layers["magnetization.equilibrium_magnetization"]["calls"]
+                == layers["magnetization.fourier_coefficients"]["calls"])

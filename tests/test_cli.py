@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 
-from mnpthermo import magnetization, signal_chain
 from mnpthermo.cli import main
 from mnpthermo.scenarios import emit_csv, run_scenario
 from tests.test_scenarios import ROOT, SCENARIO_INI, shipped_scenario
@@ -116,16 +115,16 @@ def test_bad_amplifier_is_config_error(tmp_path, capsys, amplifier, named):
     assert named in captured.err and captured.out == ""
 
 
-def test_unconverged_quadrature_is_config_error(monkeypatch, capsys):
+def test_unconverged_quadrature_is_config_error(capsys):
     # --temperature 1e-300 used to end in a QuadratureError traceback
-    # (exit 1) after 12 node doublings; one allowed pass fails the same way
-    monkeypatch.setattr(magnetization, "_MAX_QUADRATURE_DOUBLINGS", 1)
-    signal_chain._cached_harmonics.cache_clear()
-    assert main(["estimate", "--config",
-                 str(ROOT / "configs" / "static.ini")]) == 2
+    # (exit 1) after 12 node doublings, 10 s and ~1.5 GB; now the node
+    # count is refused before the first pass
+    assert main(["estimate", "--config", str(ROOT / "configs" / "static.ini"),
+                 "--temperature", "1e-300"]) == 2
     captured = capsys.readouterr()
     assert "error category=config" in captured.err
-    assert "did not converge" in captured.err and captured.out == ""
+    assert "harmonic quadrature at 1e-300 K needs" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_ref_policy_is_config_error(tmp_path, capsys):

@@ -10,17 +10,76 @@ from mnpthermo import (FieldConfig, ParticleSpec, QuadratureError,
                        SamplingGrid, TimeSeries, equilibrium_magnetization,
                        fourier_coefficients, langevin, magnetization_spectrum,
                        ode_magnetization, spectral_magnetization, tau_brownian)
-from mnpthermo import magnetization
+from mnpthermo import figures, magnetization, signal_chain
+from mnpthermo.figures import FIGURE_IDS, generate_figure
 from mnpthermo.magnetization import (default_n_max, relax_toward,
                                      transient_periods)
-from tests.oracles import dft_line
+from mnpthermo.scenarios import load_scenario
+from tests.oracles import dft_line, doubled_coefficients
+from tests.test_scenarios import ROOT
 
 K_B = 1.380649e-23
+
+
+# The fields of the shipped configs (static, cooling) and figures: fig1,
+# fig3, and fig8's tone ratios 1-4 (its ratio 5.5 is the config field).
+FIELDS = {
+    "config": FieldConfig(6000, 1570, 0.36e-3, 1.98e-3),
+    "fig1": FieldConfig(5000, 1000, 1.5e-3, 0.0),
+    "fig3": FieldConfig(6000, 1500, 0.36e-3, 1.98e-3),
+    **{f"fig8-ratio{r}": FieldConfig(6000, 1570, 0.36e-3, r * 0.36e-3)
+       for r in (1, 2, 3, 4)},
+}
+SWEEP_TEMPERATURES = (20.0, 30.0, 40.0, 50.0, 65.0, 80.0, 100.0, 125.0,
+                      150.0, 175.0, 200.0, 250.0, 300.0, 315.6, 350.0, 400.0)
 
 
 def coefficients(h):
     """Harmonic coefficient a_n keyed by line frequency (Hz)."""
     return dict(zip(h.frequencies, h.coefficients))
+
+
+@pytest.fixture
+def m0_node_counts(monkeypatch):
+    """Node count of every M0 evaluation fourier_coefficients makes."""
+    counts = []
+    evaluate = magnetization.equilibrium_magnetization
+
+    def counted(t, *args):
+        counts.append(np.size(t))
+        return evaluate(t, *args)
+
+    monkeypatch.setattr(magnetization, "equilibrium_magnetization", counted)
+    return counts
+
+
+def shipped_quadratures():
+    """Every (field, particle, temperature) the configs and figures expand.
+
+    The configs' points come from their temperature programs and
+    calibration temperatures; the figures' are recorded while they run.
+    """
+    points = set()
+    for path in sorted((ROOT / "configs").glob("*.ini")):
+        cfg = load_scenario(path)
+        temperatures = cfg.program.temperature(cfg.program.times())
+        points |= {(cfg.field_config(), cfg.particle, float(t))
+                   for t in (*temperatures, *cfg.cal_temperatures)}
+
+    def recorded(fld, p, temperature, *args):
+        points.add((fld, p, float(temperature)))
+        return fourier_coefficients(fld, p, temperature, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (figures, signal_chain):
+            mp.setattr(module, "fourier_coefficients", recorded)
+        signal_chain._cached_harmonics.cache_clear()  # a hit records nothing
+        try:
+            for figure_id in FIGURE_IDS:
+                generate_figure(figure_id, trials=2)
+        finally:
+            signal_chain._cached_harmonics.cache_clear()
+    return points
 
 
 class TestFieldConfig:
@@ -86,11 +145,6 @@ class TestFourierCoefficients:
     def test_rejects_small_n_max(self, particle, operating_field):
         with pytest.raises(ValueError):
             fourier_coefficients(operating_field, particle, 300.0, n_max=100)
-
-    def test_rejects_tone_phases(self, particle):
-        fld = FieldConfig(6000, 1570, 1e-3, 1e-3, phase_high=0.1)
-        with pytest.raises(ValueError):
-            fourier_coefficients(fld, particle, 300.0)
 
     def test_linear_regime_ratio(self, particle):
         # linearized response: line ratio equals field ratio
@@ -159,13 +213,77 @@ class TestFourierCoefficients:
                 assert abs(a[f] - 4.0 / period * half) \
                     <= 1e-10 * peak
 
-    def test_quadrature_error_when_doublings_run_out(self, particle,
-                                                     operating_field,
-                                                     monkeypatch):
-        # one pass leaves nothing to compare against: never converged
-        monkeypatch.setattr(magnetization, "_MAX_QUADRATURE_DOUBLINGS", 1)
-        with pytest.raises(QuadratureError):
+    def test_quadrature_error_before_any_evaluation(self, particle,
+                                                    operating_field,
+                                                    m0_node_counts):
+        # at 1e-300 K the decay bound asks for ~6e306 nodes: refused before
+        # M0 is evaluated (the doubling loop took 10 s and ~1.5 GB to fail)
+        with pytest.raises(QuadratureError, match=r"needs \S+e\+306 nodes"):
+            fourier_coefficients(operating_field, particle, 1e-300)
+        assert m0_node_counts == []
+
+    def test_aliasing_check_refuses_a_non_analytic_integrand(
+            self, particle, operating_field, monkeypatch):
+        # white noise breaks the decay bound the node count assumes: its
+        # top bins are as large as any, and the pass must say so
+        noise = np.random.default_rng(0).standard_normal
+        monkeypatch.setattr(magnetization, "equilibrium_magnetization",
+                            lambda t, *args: noise(np.size(t)))
+        with pytest.raises(QuadratureError, match="aliases"):
             fourier_coefficients(operating_field, particle, 300.0)
+
+    @pytest.mark.parametrize("temperature", SWEEP_TEMPERATURES)
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_one_pass_matches_doubling_oracle(self, particle, field,
+                                              temperature, m0_node_counts):
+        fld = FIELDS[field]
+        h = fourier_coefficients(fld, particle, temperature)
+        assert len(m0_node_counts) == 1
+        a, _ = doubled_coefficients(fld, particle, temperature,
+                                    default_n_max(fld))
+        assert np.max(np.abs(h.coefficients - a)) \
+            <= 1e-12 * np.max(np.abs(a))
+
+    def test_node_count_is_doubling_stop_where_shipped(self, m0_node_counts):
+        # hence bit-identical outputs: at every shipped point the one pass
+        # runs on the node count where the doubling loop stopped
+        points = shipped_quadratures()
+        assert {fld.f_low for fld, _, _ in points} == {1000, 1500, 1570}
+        for fld, p, temperature in sorted(points, key=repr):
+            m0_node_counts.clear()
+            fourier_coefficients(fld, p, temperature)
+            _, n_stop = doubled_coefficients(fld, p, temperature,
+                                             default_n_max(fld))
+            assert m0_node_counts == [n_stop], (fld, temperature)
+
+    @pytest.mark.parametrize("temperature", (20.0, 100.0, 300.0, 1000.0))
+    @pytest.mark.parametrize("field", ("config", "fig1", "fig8-ratio1",
+                                       "fig8-ratio4"))
+    def test_spectrum_decays_at_least_at_pole_rate(self, particle, field,
+                                                   temperature):
+        # L has its nearest poles at xi = +-i*pi, so M0 is analytic in the
+        # strip |Im t| < d = asinh(pi/xi_max) / (2 pi f_high) and
+        # |a_n| <= C exp(-2 pi f_base d n); xi_max spans 0.35 to 58 here
+        fld = FIELDS[field]
+        xi_max = (particle.m_s * (fld.b_high + fld.b_low)
+                  / (K_B * temperature))
+        d = math.asinh(math.pi / xi_max) / (2 * math.pi * fld.f_high)
+        rate = 2 * math.pi * fld.f_base * d
+        n = 1 << 18
+        t = np.arange(n) * ((1.0 / fld.f_base) / n)
+        m0 = equilibrium_magnetization(t, fld, particle, temperature)
+        a = np.abs((2.0 / n) * np.fft.rfft(m0)[1:n // 2].real)
+        # upper envelope: the largest line in each run of f_high/f_base
+        # indices, fitted between 1e-3 of the peak and the rounding floor
+        block = int(fld.f_high // fld.f_base)
+        envelope = a[:a.size // block * block].reshape(-1, block).max(axis=1)
+        centers = (np.arange(envelope.size) + 0.5) * block
+        fit = (envelope < 1e-3 * a.max()) & (envelope > 1e-12 * a.max())
+        assert fit.sum() >= 5
+        slope = np.polyfit(centers[fit], np.log(envelope[fit]), 1)[0]
+        assert -slope >= rate
+        if fld.b_low == 0.0:  # one tone: the bound is exact
+            assert -slope <= 1.1 * rate
 
     def test_concentration_scaling(self, particle, operating_field):
         h1 = fourier_coefficients(operating_field, particle, 300.0)

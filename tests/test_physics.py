@@ -109,6 +109,23 @@ class TestTauEffective:
         tb = 1.024e-5
         assert tau_effective(tb, TAU_NEEL_CAP) == tb
 
+    @pytest.mark.filterwarnings("error")
+    def test_capped_neel_time_at_1e_300_kelvin(self):
+        # tau_b ~ 3e297 s: tau_b * TAU_NEEL_CAP used to overflow to inf
+        tb = tau_brownian(30e-9, 1e-3, 1e-300)
+        tn = tau_neel(30e-9, 20e3, 1e-300)
+        assert tn == TAU_NEEL_CAP and tb > np.finfo(float).max / TAU_NEEL_CAP
+        assert tau_effective(tb, tn) == tb
+        assert tau_effective(tn, 1e-5) == 1e-5  # and vice versa
+        np.testing.assert_array_equal(
+            tau_effective(np.array([1e-5, tb]), tn), [1e-5, tb])
+
+    def test_uncapped_results_keep_the_closed_form_bits(self):
+        rng = np.random.default_rng(5)
+        tb, tn = 10.0 ** rng.uniform(-12, 12, (2, 1000))
+        np.testing.assert_array_equal(tau_effective(tb, tn),
+                                      tb * tn / (tb + tn))
+
     def test_ten_nm_case(self):
         tb = tau_brownian(10e-9, 1e-3, 300.0)
         tn = tau_neel(10e-9, 20e3, 300.0, 1e-9)
