@@ -14,7 +14,7 @@ from .estimator import (CalibrationModel, TemperatureEstimate, calibrate,
 from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid,
                             TimeSeries, equilibrium_magnetization,
                             fourier_coefficients, magnetization_spectrum,
-                            ode_magnetization, spectral_magnetization)
+                            spectral_magnetization)
 from .physics import (ParticleSpec, debye_response, langevin, tau_brownian,
                       tau_effective, tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ExperimentResult, FrequencyPlan,

@@ -20,7 +20,7 @@ from .scenarios import (AmbientModel, ScenarioConfig, TemperatureProgram,
                         default_particle, default_scenario, format_field,
                         ideal_coils, monte_carlo_std, plan_frequencies,
                         self_calibrate)
-from .signal_chain import AmplifierModel
+from .signal_chain import AmplifierModel, relaxation_time
 
 FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig3", "fig4", "fig8", "fig9")
 
@@ -173,11 +173,10 @@ def figure_spectrum_vs_field_ratio(ratios=(1.0, 2.0, 3.0, 4.0, 5.5),
                                    floor_db=-160.0) -> FigureTable:
     """Normalized magnetization spectra for several B_low/B_high ratios."""
     p = default_particle()
+    tau = relaxation_time(p, temperature)
     rows = []
     for ratio in ratios:
         fld = FieldConfig(6000, 1570, b_high, ratio * b_high)
-        tau = tau_effective(tau_brownian(p.d_hydro, p.eta, temperature),
-                            tau_neel(p.d_core, p.k_aniso, temperature, p.tau_0))
         h = fourier_coefficients(fld, p, temperature)
         ts = spectral_magnetization(h, tau, fld, SamplingGrid(500000, 1))
         for f, amp, phase in magnetization_spectrum(ts, fld.f_base):

@@ -78,12 +78,24 @@ def langevin(xi):
     return float(out[0]) if scalar else out
 
 
+def _thermal_energy(temperature):
+    """k_B*T in joules; ValueError unless every value is positive.
+
+    Below ~1.8e-301 K the product underflows to 0, so a positive
+    temperature can fail here too, before anything divides by it.
+    """
+    kt = K_BOLTZMANN * np.asarray(temperature, dtype=float)
+    if not np.all(kt > 0.0):  # also rejects nan
+        raise ValueError(f"temperature must give k_B*T > 0 "
+                         f"(got {temperature!r} K)")
+    return kt
+
+
 def tau_brownian(d_hydro, eta, temperature):
     """Brownian rotation time 3*eta*V_hydro / (k_B*T), in seconds."""
-    if np.any(np.asarray(d_hydro) <= 0.0) or np.any(np.asarray(eta) <= 0.0) \
-            or np.any(np.asarray(temperature) <= 0.0):
-        raise ValueError("d_hydro, eta and temperature must be positive")
-    return 3.0 * eta * sphere_volume(d_hydro) / (K_BOLTZMANN * temperature)
+    if np.any(np.asarray(d_hydro) <= 0.0) or np.any(np.asarray(eta) <= 0.0):
+        raise ValueError("d_hydro and eta must be positive")
+    return 3.0 * eta * sphere_volume(d_hydro) / _thermal_energy(temperature)
 
 
 def tau_neel(d_core, k_aniso, temperature, tau_0=1e-9):
@@ -93,9 +105,9 @@ def tau_neel(d_core, k_aniso, temperature, tau_0=1e-9):
     equal to the cap marks the moment as effectively frozen.
     """
     if np.any(np.asarray(d_core) <= 0.0) or np.any(np.asarray(k_aniso) <= 0.0) \
-            or np.any(np.asarray(temperature) <= 0.0) or tau_0 <= 0.0:
+            or tau_0 <= 0.0:
         raise ValueError("all arguments must be positive")
-    expo = k_aniso * sphere_volume(d_core) / (K_BOLTZMANN * np.asarray(temperature, dtype=float))
+    expo = k_aniso * sphere_volume(d_core) / _thermal_energy(temperature)
     cap_expo = math.log(TAU_NEEL_CAP / tau_0)
     result = np.where(expo >= cap_expo, TAU_NEEL_CAP,
                       np.minimum(tau_0 * np.exp(np.minimum(expo, cap_expo)),

@@ -24,15 +24,28 @@ from .signal_chain import (AmplifierModel, CoilParams, NoiseModel,
 
 @dataclass(frozen=True)
 class FrequencyPlan:
-    """Validated excitation/analysis frequency set (all exact bins)."""
+    """Validated excitation/analysis frequency set (all exact bins).
+
+    The base frequency and the mixing lines f_high +- 2*f_low derive from
+    the two tones.
+    """
 
     f_high: float
     f_low: float
-    f_base: float
-    f_plus: float
-    f_minus: float
     sample_rate: float
     window_periods: int = 1
+
+    @property
+    def f_base(self):
+        return float(math.gcd(int(self.f_high), int(self.f_low)))
+
+    @property
+    def f_plus(self):
+        return self.f_high + 2 * self.f_low
+
+    @property
+    def f_minus(self):
+        return self.f_high - 2 * self.f_low
 
 
 def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
@@ -79,8 +92,7 @@ def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
             f"sample_rate {sample_rate} not an integer multiple of f_base {f_base}")
     if violations:
         raise PlanRejection(violations)
-    return FrequencyPlan(float(f_high), float(f_low), float(f_base),
-                         float(f_plus), float(f_minus), float(sample_rate),
+    return FrequencyPlan(float(f_high), float(f_low), float(sample_rate),
                          int(window_periods))
 
 
@@ -158,6 +170,16 @@ class ScenarioConfig:
         if not self.seed >= 0:
             raise ConfigError(f"seed must be a non-negative integer "
                               f"(got {self.seed!r})")
+        if self.snr_db != math.inf:
+            # NoiseModel.sigma divides by this power ratio
+            try:
+                ratio = 10.0 ** (float(self.snr_db) / 10.0)
+            except OverflowError:
+                ratio = math.inf
+            if not 0.0 < ratio < math.inf:  # also rejects nan
+                raise ConfigError(f"snr_db = {self.snr_db!r} gives no finite "
+                                  f"positive noise power ratio; use inf to "
+                                  f"disable noise")
 
     def field_config(self):
         return FieldConfig(self.plan.f_high, self.plan.f_low,

@@ -1,8 +1,13 @@
 """Independent numerical routes that tests check the package against."""
 
-import numpy as np
+import math
 
-from mnpthermo.magnetization import equilibrium_magnetization
+import numpy as np
+from scipy.signal import lfilter
+
+from mnpthermo.magnetization import (FieldConfig, SamplingGrid, TimeSeries,
+                                     equilibrium_magnetization)
+from mnpthermo.physics import ParticleSpec
 
 
 def dft_line(ts, f):
@@ -45,3 +50,80 @@ def doubled_coefficients(fld, p, temperature, n_max):
         prev = coeffs
         n_nodes *= 2
     raise AssertionError("no convergence in 12 passes")
+
+
+def _rk4_relaxation_weights(z):
+    """Per-step linear-recurrence weights of classic RK4 on M' = (f - M)/tau.
+
+    One step is M+ = a*M + b0*f(t) + bh*f(t+h/2) + b1*f(t+h) with z = h/tau;
+    weights come from running the four stages on basis inputs.
+    """
+    def step(m, f0, fh, f1):
+        k1 = (f0 - m)
+        k2 = (fh - (m + 0.5 * z * k1))
+        k3 = (fh - (m + 0.5 * z * k2))
+        k4 = (f1 - (m + z * k3))
+        return m + (z / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    a = step(1.0, 0.0, 0.0, 0.0)
+    b0 = step(0.0, 1.0, 0.0, 0.0)
+    bh = step(0.0, 0.0, 1.0, 0.0)
+    b1 = step(0.0, 0.0, 0.0, 1.0)
+    return a, b0, bh, b1
+
+
+def relax_toward(drive, tau, h, m_init=0.0):
+    """Integrate M' = (drive(t) - M)/tau with classic RK4 at fixed step h.
+
+    `drive` holds samples at half-step spacing h/2 (2K+1 values for K
+    steps). Returns K+1 state values including the initial one.
+    """
+    drive = np.asarray(drive, dtype=float)
+    if drive.size < 3 or drive.size % 2 == 0:
+        raise ValueError("drive needs an odd number (>=3) of half-step samples")
+
+    a, b0, bh, b1 = _rk4_relaxation_weights(h / tau)
+    u = b0 * drive[0:-2:2] + bh * drive[1:-1:2] + b1 * drive[2::2]
+    # M_{k+1} = a*M_k + u_k is a first-order IIR recurrence.
+    states = lfilter([1.0], [1.0, -a], u, zi=[a * m_init])[0]
+    return np.concatenate(([m_init], states))
+
+
+def transient_periods(tau, f_base):
+    """Base periods to discard: 10*tau rounded up to whole periods (>=1)."""
+    return max(1, int(math.ceil(10.0 * tau * f_base)))
+
+
+def ode_magnetization(fld: FieldConfig, p: ParticleSpec, temperature, tau,
+                      grid: SamplingGrid, max_step=None) -> TimeSeries:
+    """Time-domain oracle for the steady-state magnetization.
+
+    Integrates from M(0) = 0 through the transient (see transient_periods)
+    and returns the following `grid.n_periods` base periods. The transient
+    spans whole base periods, so every line at a multiple of f_base has
+    the same phase from the window start as from t = 0. The internal step
+    obeys h <= tau/20 and h <= 1/(50*f_high); pass `max_step` to force a
+    coarser ceiling and get a ValueError if it violates those.
+    """
+    f_base = fld.f_base
+    step_limit = min(tau / 20.0, 1.0 / (50.0 * fld.f_high))
+    if max_step is not None:
+        if max_step > step_limit * (1 + 1e-12):
+            raise ValueError(
+                f"requested step {max_step} exceeds stability limit {step_limit}")
+        step_limit = max_step
+    dt_out = 1.0 / grid.sample_rate
+    substeps = max(1, int(math.ceil(dt_out / step_limit - 1e-12)))
+    h = dt_out / substeps
+
+    n_trans = transient_periods(tau, f_base)
+    n_out = grid.n_samples(f_base)
+    n_trans_samples = n_trans * int(round(grid.sample_rate / f_base))
+    total_steps = (n_trans_samples + n_out) * substeps
+
+    t_half = np.arange(2 * total_steps + 1) * (h / 2.0)
+    m0 = equilibrium_magnetization(t_half, fld, p, temperature)
+    states = relax_toward(m0, tau, h, m_init=0.0)
+
+    keep = states[n_trans_samples * substeps::substeps][:n_out]
+    return TimeSeries(grid.sample_rate, keep)

@@ -18,6 +18,7 @@ from mnpthermo.scenarios import (TemperatureProgram, default_scenario,
                                  emit_csv, ideal_coils, run_scenario,
                                  self_calibrate)
 from mnpthermo.signal_chain import NoiseModel, apply_noise
+from tests.oracles import ode_magnetization
 from tests.test_scenarios import shipped_scenario
 
 
@@ -43,7 +44,7 @@ def test_1_cross_oracle_physics(particle, operating_field):
     # the analysis lines, so reconstruction truncation stays negligible
     h = m.fourier_coefficients(operating_field, particle, 300.0, n_max=n_max)
     spec = m.spectral_magnetization(h, tau, operating_field, grid)
-    ode = m.ode_magnetization(operating_field, particle, 300.0, tau, grid)
+    ode = ode_magnetization(operating_field, particle, 300.0, tau, grid)
     rms = np.sqrt(np.mean((spec.samples - ode.samples) ** 2))
     rms /= np.sqrt(np.mean(ode.samples ** 2))
     elapsed = time.time() - start

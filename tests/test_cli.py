@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from mnpthermo.cli import main
+from mnpthermo.figures import FIGURE_IDS
 from mnpthermo.scenarios import emit_csv, run_scenario
 from tests.test_scenarios import ROOT, SCENARIO_INI, shipped_scenario
 
@@ -125,6 +127,31 @@ def test_unconverged_quadrature_is_config_error(capsys):
     assert "error category=config" in captured.err
     assert "harmonic quadrature at 1e-300 K needs" in captured.err
     assert captured.out == ""
+
+
+def test_thermal_energy_underflow_is_config_error(capsys):
+    # k_B * 1e-310 K underflows to 0; tau_brownian and tau_neel used to
+    # divide by it (two RuntimeWarnings, a traceback under -W error)
+    assert main(["estimate", "--config", str(ROOT / "configs" / "static.ini"),
+                 "--temperature", "1e-310"]) == 2
+    captured = capsys.readouterr()
+    assert "error category=config" in captured.err
+    assert "temperature must give k_B*T > 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("snr_db", ["1e300", "4000", "-1e30"])
+def test_snr_db_out_of_float_range_is_config_error(tmp_path, capsys, snr_db):
+    # 1e300 and 4000 used to exit 1 (OverflowError in NoiseModel.sigma),
+    # -1e30 to exit 4 (a zero noise-power ratio: "wrapped sum nan")
+    text = (ROOT / "configs" / "static.ini").read_text()
+    assert "snr_db = 92.3" in text
+    path = tmp_path / "snr.ini"
+    path.write_text(text.replace("snr_db = 92.3", f"snr_db = {snr_db}", 1))
+    assert main(["estimate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error category=config" in captured.err
+    assert "snr_db" in captured.err and captured.out == ""
 
 
 def test_unknown_ref_policy_is_config_error(tmp_path, capsys):
@@ -285,6 +312,39 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is only a test extra: with it unimportable, every command
+    # still exits 0
+    static = str(ROOT / "configs" / "static.ini")
+    commands = [
+        ["plan-freq", "6000", "1570"],
+        ["simulate", "--config", static],
+        ["estimate", "--config", static],
+        ["scenario", "run", str(ROOT / "configs" / "cooling.ini"),
+         "--trials", "3"],
+        *(["figure", fig, "--trials", "2"] for fig in FIGURE_IDS),
+    ]
+    probe = ("import json, sys; sys.modules['scipy'] = None\n"
+             "from mnpthermo.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    code = main(argv)\n"
+             "    assert code == 0, (argv, code)\n")
+    out = str(tmp_path / "out.csv")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", probe,
+                          json.dumps([c + ["--out", out] for c in commands])],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_package_source_never_names_scipy():
+    sources = [path for path in (ROOT / "src" / "mnpthermo").rglob("*")
+               if path.is_file() and "__pycache__" not in path.parts]
+    assert any(path.name == "magnetization.py" for path in sources)
+    assert [path.name for path in sources
+            if b"scipy" in path.read_bytes()] == []
 
 
 @pytest.mark.parametrize("section, key", [

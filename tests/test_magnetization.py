@@ -9,13 +9,13 @@ from scipy.integrate import IntegrationWarning, quad
 from mnpthermo import (FieldConfig, ParticleSpec, QuadratureError,
                        SamplingGrid, TimeSeries, equilibrium_magnetization,
                        fourier_coefficients, langevin, magnetization_spectrum,
-                       ode_magnetization, spectral_magnetization, tau_brownian)
+                       spectral_magnetization, tau_brownian)
 from mnpthermo import figures, magnetization, signal_chain
 from mnpthermo.figures import FIGURE_IDS, generate_figure
-from mnpthermo.magnetization import (default_n_max, relax_toward,
-                                     transient_periods)
+from mnpthermo.magnetization import default_n_max
 from mnpthermo.scenarios import load_scenario
-from tests.oracles import dft_line, doubled_coefficients
+from tests.oracles import (dft_line, doubled_coefficients, ode_magnetization,
+                           relax_toward, transient_periods)
 from tests.test_scenarios import ROOT
 
 K_B = 1.380649e-23

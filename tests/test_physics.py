@@ -74,6 +74,20 @@ class TestTauBrownian:
             tau_brownian(30e-9, 1e-3, -5.0)
 
 
+@pytest.mark.parametrize("tau", [
+    lambda t: tau_brownian(30e-9, 1e-3, t),
+    lambda t: tau_neel(30e-9, 20e3, t),
+], ids=["brownian", "neel"])
+def test_thermal_energy_underflow_rejected(tau):
+    # k_B * 1e-310 K underflows to 0: both used to divide by zero, with a
+    # RuntimeWarning (an error under this suite's filterwarnings)
+    assert K_B * 1e-310 == 0.0
+    with pytest.raises(ValueError, match="k_B\\*T > 0"):
+        tau(1e-310)
+    with pytest.raises(ValueError, match="k_B\\*T > 0"):
+        tau(np.array([300.0, 1e-310]))
+
+
 class TestTauNeel:
     def test_small_core(self):
         expo = 20e3 * math.pi / 6 * (10e-9) ** 3 / (K_B * 300.0)

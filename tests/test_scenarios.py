@@ -33,6 +33,17 @@ class TestPlanFrequencies:
         assert plan.f_minus == 2860.0
         assert plan.f_base == 10.0
 
+    def test_derived_lines_follow_the_tones(self):
+        # the base frequency and mixing lines are not stored, so they
+        # cannot disagree with the tones
+        plan = plan_frequencies(6000, 1570, 500000, 50)
+        assert [f.name for f in fields(plan)] == [
+            "f_high", "f_low", "sample_rate", "window_periods"]
+        moved = replace(plan, f_low=1500.0)
+        derived = (moved.f_base, moved.f_plus, moved.f_minus)
+        assert derived == (1500.0, 9000.0, 3000.0)
+        assert all(type(f) is float for f in derived)
+
     def test_mains_collision_rejected(self):
         with pytest.raises(PlanRejection) as info:
             plan_frequencies(6000, 1500, 600000, 50)
@@ -162,12 +173,10 @@ class TestRunScenario:
         assert r1.records[0].t_est != r2.records[0].t_est
 
     def test_flagged_rows_carried(self):
-        # impossible analysis plan: mixing lines absent from the channels
-        cfg = replace(default_scenario(), program=TemperatureProgram(
-            "constant", 315.0, 315.0, 2.0, 2))
-        bad_plan = plan_frequencies(6000, 1570, 500000, 50)
-        bad_plan = replace(bad_plan, f_plus=8000.0, f_minus=4000.0)
-        cfg = replace(cfg, plan=bad_plan)
+        # no low tone: the mixing lines are absent from the channels
+        cfg = replace(default_scenario(), b_low=0.0,
+                      program=TemperatureProgram("constant", 315.0, 315.0,
+                                                 2.0, 2))
         cal_cfg = replace(default_scenario(), program=cfg.program)
         result = run_scenario(cfg, cal=self_calibrate(cal_cfg))
         assert result.summary["n_points"] == 2
@@ -470,3 +479,16 @@ def test_nominal_coil_phase_matches_transfer():
     _, expected = coil_transfer(cfg.coil_a, 2 * math.pi * 6000,
                                 cfg.ambient.ambient(315.0))
     assert cfg.nominal_coil_phase() == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [1e300, 4000.0, -1e30, -math.inf,
+                                    math.nan])
+def test_snr_db_without_a_finite_power_ratio_rejected(snr_db):
+    # 10**(snr_db/10) overflowed in NoiseModel.sigma, or was 0 or nan
+    with pytest.raises(ConfigError, match="snr_db"):
+        replace(default_scenario(), snr_db=snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [math.inf, 3000.0, 92.3, 0.0, -3000.0])
+def test_snr_db_with_a_finite_power_ratio_accepted(snr_db):
+    assert replace(default_scenario(), snr_db=snr_db).snr_db == snr_db
