@@ -10,7 +10,7 @@ comparison baseline.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +140,7 @@ def calibrate(points, kind="one_point") -> CalibrationModel:
             raise ValueError("affine calibration needs >= 2 points")
         taus = np.array([t for t, _ in pts])
         temps = np.array([T for _, T in pts])
-        if np.unique(taus).size < 2:
+        if len(set(taus.tolist())) < 2:
             raise ValueError("affine calibration needs distinct taus")
         design = np.column_stack([1.0 / taus, np.ones_like(taus)])
         (a, b), *_ = np.linalg.lstsq(design, temps, rcond=None)
@@ -151,38 +151,20 @@ def calibrate(points, kind="one_point") -> CalibrationModel:
 
 @dataclass
 class TemperatureEstimate:
-    """Estimator output with diagnostics; invalid results are flagged."""
+    """Estimator output; invalid results are flagged."""
 
     t_est: float
     tau_est: float
     phi_h: float
     phi_plus: float
     phi_minus: float
-    diagnostics: dict = field(default_factory=dict)
     valid: bool = True
     error: str | None = None
 
     @classmethod
-    def invalid(cls, message, diagnostics=None):
+    def invalid(cls, message):
         nan = float("nan")
-        return cls(nan, nan, nan, nan, nan, diagnostics or {}, False, message)
-
-
-def _line_diagnostics(ch: MeasurementChannels, frequencies):
-    """Per-line difference amplitudes plus a crude off-bin noise-floor SNR."""
-    diag = {}
-    n = ch.diff_sample.samples.size
-    spectrum = ch.diff_sample.spectrum
-    w = int(round(ch.diff_sample.duration * ch.f_base))
-    for f in frequencies:
-        amp = abs(_sample_line(ch, f))
-        k = int(round(f * n / ch.diff_sample.sample_rate))
-        probe = [k + j * w for j in (-9, -7, 7, 9) if 0 < k + j * w < spectrum.size]
-        floor = float(np.median(np.abs(spectrum[probe]))) if probe else 0.0
-        diag[f] = {"amplitude": amp,
-                   "snr_db": (20.0 * math.log10(amp / floor)
-                              if floor > 0.0 else math.inf)}
-    return diag
+        return cls(nan, nan, nan, nan, nan, False, message)
 
 
 def direct_line_phase(ch: MeasurementChannels, amp: AmplifierModel, f,
@@ -206,7 +188,7 @@ def estimate_tau(ch: MeasurementChannels, plan, amp: AmplifierModel,
 
     mixing: sample phases at the two mixing lines -> phi_H -> tau.
     single: direct_line_phase at f_H (the single-frequency baseline).
-    Returns (tau, phi_h, phi_plus, phi_minus, diagnostics). Raises
+    Returns (tau, phi_h, phi_plus, phi_minus). Raises
     EstimationError when the channels do not yield a positive tau, and
     ValueError for an unknown mode.
     """
@@ -214,20 +196,18 @@ def estimate_tau(ch: MeasurementChannels, plan, amp: AmplifierModel,
         phi_plus = sample_phase(ch, amp, plan.f_plus, phi_o, ref_frequency)
         phi_minus = sample_phase(ch, amp, plan.f_minus, phi_o, ref_frequency)
         phi_h = phi_h_from_mixing(phi_plus, phi_minus)
-        diag = _line_diagnostics(ch, (plan.f_plus, plan.f_minus))
     elif mode == "single":
         phi_h = direct_line_phase(ch, amp, plan.f_high, nominal_coil_phase)
         if not 0.0 <= phi_h < 0.5 * math.pi:
             raise EstimationError(
                 f"single-line phase {phi_h:.6f} rad outside [0, pi/2)")
         phi_plus = phi_minus = float("nan")
-        diag = _line_diagnostics(ch, (plan.f_high,))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     tau = tau_from_phase(phi_h, plan.f_high)
     if tau <= 0.0:
         raise EstimationError(f"phi_H = {phi_h} rad gives no positive tau")
-    return tau, phi_h, phi_plus, phi_minus, diag
+    return tau, phi_h, phi_plus, phi_minus
 
 
 def estimate_temperature(ch: MeasurementChannels, plan, amp: AmplifierModel,
@@ -240,10 +220,10 @@ def estimate_temperature(ch: MeasurementChannels, plan, amp: AmplifierModel,
     and propagates.
     """
     try:
-        tau, phi_h, phi_plus, phi_minus, diag = estimate_tau(
+        tau, phi_h, phi_plus, phi_minus = estimate_tau(
             ch, plan, amp, mode, phi_o=phi_o, ref_frequency=ref_frequency,
             nominal_coil_phase=nominal_coil_phase)
     except EstimationError as exc:
         return TemperatureEstimate.invalid(str(exc))
     return TemperatureEstimate(cal.temperature(tau), tau, phi_h, phi_plus,
-                               phi_minus, diag)
+                               phi_minus)

@@ -187,6 +187,15 @@ def figure_spectrum_vs_field_ratio(ratios=(1.0, 2.0, 3.0, 4.0, 5.5),
                        rows, {"b_high_t": b_high, "temperature_k": temperature})
 
 
+def _coil_phase_slope(coil, f):
+    """d/dT of the coil phase arctan(x), x = wL/R, at the coil's t_ref.
+
+    -g(x) rad/K with g(x) = (alpha_r - alpha_l) * x / (1 + x^2).
+    """
+    x = 2.0 * math.pi * f * coil.l0 / coil.r0
+    return (coil.alpha_l - coil.alpha_r) * x / (1.0 + x * x)
+
+
 def figure_phase_drift(t_amb_min=295.0, t_amb_max=305.0, n_points=11,
                        t_sample=315.6) -> FigureTable:
     """Reconstructed vs directly measured phase as the coil temperature moves.
@@ -196,13 +205,16 @@ def figure_phase_drift(t_amb_min=295.0, t_amb_max=305.0, n_points=11,
     less per kelvin than the directly measured phase. phi_h_direct_rad
     keeps the static coil phase (nominal coil phase 0), because only its
     slope is compared.
+
+    Closed-form slopes, from coil A's phase drift -g(x) at its t_ref: -g(x_H)
+    direct, -(0.5*[g(x_plus) + g(x_minus)] - g(x_H)) mixing.
     """
     cfg = default_scenario()
     rows = []
     for t_amb in np.linspace(t_amb_min, t_amb_max, n_points):
         t_amb = float(t_amb)
         channels, _ = cfg.clean_channels(t_sample, t_amb)
-        _, phi_mix, phi_p, phi_m, _ = cfg.tau(channels)
+        _, phi_mix, phi_p, phi_m = cfg.tau(channels)
         phi_direct = direct_line_phase(channels, cfg.amplifier,
                                        cfg.plan.f_high)
         rows.append((t_amb, phi_p, phi_m, phi_direct, phi_mix))
@@ -211,6 +223,10 @@ def figure_phase_drift(t_amb_min=295.0, t_amb_max=305.0, n_points=11,
     mixed = np.array([r[4] for r in rows])
     slope_direct = float(np.polyfit(t, np.rad2deg(direct), 1)[0])
     slope_mixing = float(np.polyfit(t, np.rad2deg(mixed), 1)[0])
+    plan = cfg.plan
+    g_high = _coil_phase_slope(cfg.coil_a, plan.f_high)
+    g_mixing = 0.5 * (_coil_phase_slope(cfg.coil_a, plan.f_plus)
+                      + _coil_phase_slope(cfg.coil_a, plan.f_minus)) - g_high
     return FigureTable(
         "fig9",
         ("t_ambient_k", "phi_plus_rad", "phi_minus_rad",
@@ -218,5 +234,7 @@ def figure_phase_drift(t_amb_min=295.0, t_amb_max=305.0, n_points=11,
         rows,
         {"slope_direct_deg_per_k": slope_direct,
          "slope_mixing_deg_per_k": slope_mixing,
+         "closed_form_slope_direct_deg_per_k": math.degrees(g_high),
+         "closed_form_slope_mixing_deg_per_k": math.degrees(g_mixing),
          "published_slope_direct_deg_per_k": 0.57,
          "published_slope_mixing_deg_per_k": 0.05})

@@ -225,7 +225,7 @@ class ScenarioConfig:
                 "nominal_coil_phase": self.nominal_coil_phase()}
 
     def tau(self, channels):
-        """(tau, phi_h, phi_plus, phi_minus, diagnostics) of channels.
+        """(tau, phi_h, phi_plus, phi_minus) of channels.
 
         Raises EstimationError where estimate() would flag the channels.
         """

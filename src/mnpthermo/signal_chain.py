@@ -152,10 +152,23 @@ class NoiseModel:
     seed: int = 0
 
     def sigma(self, reference_amplitude):
+        """Per-sample noise sigma; ConfigError when it is not finite.
+
+        Python-float arithmetic, so that a subnormal power ratio (e.g.
+        snr_db = -3200) overflows to inf without a numpy warning.
+        """
         if math.isinf(self.snr_db):
             return 0.0
-        signal_power = 0.5 * reference_amplitude**2
-        return math.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
+        signal_power = 0.5 * float(reference_amplitude)**2
+        try:
+            sigma = math.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
+        except (OverflowError, ZeroDivisionError):
+            sigma = math.inf
+        if not math.isfinite(sigma):  # also catches nan
+            raise ConfigError(f"snr_db = {self.snr_db!r} gives no finite "
+                              f"noise sigma for a reference line of "
+                              f"{float(reference_amplitude):.6g} V")
+        return sigma
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,22 @@ def test_snr_db_out_of_float_range_is_config_error(tmp_path, capsys, snr_db):
     assert "snr_db" in captured.err and captured.out == ""
 
 
+def test_subnormal_snr_ratio_is_config_error_without_warning(tmp_path):
+    # 10**(-320) is a positive subnormal ratio that passes the config
+    # check; sigma's division used to overflow with a numpy RuntimeWarning
+    # and the estimate exited 4 ("wrapped sum nan")
+    text = (ROOT / "configs" / "static.ini").read_text()
+    path = tmp_path / "snr.ini"
+    path.write_text(text.replace("snr_db = 92.3", "snr_db = -3200", 1))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "mnpthermo.cli",
+                          "estimate", "--config", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert "error category=config" in run.stderr and "snr_db" in run.stderr
+    assert run.stdout == ""
+
+
 def test_unknown_ref_policy_is_config_error(tmp_path, capsys):
     # a typo used to run as "excitation"
     path = tmp_path / "policy.ini"
@@ -314,11 +330,9 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_every_command_runs_without_scipy(tmp_path):
-    # scipy is only a test extra: with it unimportable, every command
-    # still exits 0
+def _every_command():
     static = str(ROOT / "configs" / "static.ini")
-    commands = [
+    return [
         ["plan-freq", "6000", "1570"],
         ["simulate", "--config", static],
         ["estimate", "--config", static],
@@ -326,16 +340,43 @@ def test_every_command_runs_without_scipy(tmp_path):
          "--trials", "3"],
         *(["figure", fig, "--trials", "2"] for fig in FIGURE_IDS),
     ]
+
+
+def _run_in_one_process(tmp_path, commands, probe):
+    # probe runs with the argv lists (each given --out) as sys.argv[1]
+    out = str(tmp_path / "out.csv")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", probe,
+                           json.dumps([c + ["--out", out] for c in commands])],
+                          env=env, capture_output=True, text=True)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is only a test extra: with it unimportable, every command
+    # still exits 0
     probe = ("import json, sys; sys.modules['scipy'] = None\n"
              "from mnpthermo.cli import main\n"
              "for argv in json.loads(sys.argv[1]):\n"
              "    code = main(argv)\n"
              "    assert code == 0, (argv, code)\n")
-    out = str(tmp_path / "out.csv")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", probe,
-                          json.dumps([c + ["--out", out] for c in commands])],
-                         env=env, capture_output=True, text=True)
+    run = _run_in_one_process(tmp_path, _every_command(), probe)
+    assert run.returncode == 0, run.stderr
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily (np.median, np.unique); it costs
+    # ~16 ms and ~2 MB a run, and no command needs it
+    static = str(ROOT / "configs" / "static.ini")
+    commands = [*_every_command(),
+                ["estimate", "--config", static, "--mode", "single"]]
+    probe = ("import json, sys\n"
+             "from mnpthermo.cli import main\n"
+             "assert 'numpy.ma' not in sys.modules, 'on import'\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    code = main(argv)\n"
+             "    assert code == 0, (argv, code)\n"
+             "    assert 'numpy.ma' not in sys.modules, argv\n")
+    run = _run_in_one_process(tmp_path, commands, probe)
     assert run.returncode == 0, run.stderr
 
 

@@ -277,7 +277,6 @@ class TestEstimateTemperature:
                                    cal, "mixing")
         assert est.valid
         assert est.tau_est == pytest.approx(tau, rel=1e-10)
-        assert est.diagnostics  # per-line amplitudes and SNR present
 
     def test_unknown_mode(self):
         ch = synthetic_channels({9140.0: 0.7})

@@ -98,6 +98,18 @@ class TestComparisonFigures:
         assert table.meta["published_slope_direct_deg_per_k"] == 0.57
         assert table.meta["published_slope_mixing_deg_per_k"] == 0.05
 
+    def test_fig9_slopes_match_closed_form(self):
+        # the simulated slopes are a line fit over 295-305 K; the closed
+        # form is the coil-phase derivative at 300 K
+        meta = figure_phase_drift().meta
+        for line in ("direct", "mixing"):
+            assert meta[f"slope_{line}_deg_per_k"] == pytest.approx(
+                meta[f"closed_form_slope_{line}_deg_per_k"], rel=1e-4)
+        assert meta["closed_form_slope_direct_deg_per_k"] == pytest.approx(
+            -0.0365, abs=5e-5)
+        assert meta["closed_form_slope_mixing_deg_per_k"] == pytest.approx(
+            -0.0107, abs=5e-5)
+
 
 class TestErrorVsSnr:
     def test_slope_and_monotonicity(self):

@@ -84,7 +84,8 @@ def test_mixing_monte_carlo_matches_closed_form():
         std, closed_form_std(cfg, cal, 315.0, 80.0), n_trials)
 
 
-def test_fig1_monte_carlo_matches_closed_form(monkeypatch):
+def _recorded_fig1(monkeypatch, **kwargs):
+    """fig1's table plus the (cfg, cal, t_sample, snr_db) of each row."""
     seen = []
 
     def recorded(cfg, t_sample, snr_db, n_trials, cal):
@@ -92,10 +93,28 @@ def test_fig1_monte_carlo_matches_closed_form(monkeypatch):
         return monte_carlo_std(cfg, t_sample, snr_db, n_trials, cal)
 
     monkeypatch.setattr(figures, "monte_carlo_std", recorded)
+    return figures.figure_error_vs_snr(**kwargs), seen
+
+
+def test_fig1_monte_carlo_matches_closed_form(monkeypatch):
     n_trials = 1000
-    table = figures.figure_error_vs_snr(snr_points=(40.0,), trials=n_trials)
+    table, seen = _recorded_fig1(monkeypatch, snr_points=(40.0,),
+                                 trials=n_trials)
     [(cfg, cal, t_sample, snr_db)] = seen
     [(_, std, n_ok)] = table.rows
     assert cfg.mode == "single" and n_ok == n_trials
     assert_within_standard_errors(
         std, closed_form_std(cfg, cal, t_sample, snr_db), n_trials)
+
+
+def test_shipped_fig1_rows_match_closed_form(monkeypatch):
+    # every row of the shipped table (6 SNR points, 200 trials). The rows
+    # share noise streams, since _point_seed does not take the SNR, so
+    # their deviations from the closed form are nearly one draw, not six
+    table, seen = _recorded_fig1(monkeypatch)
+    assert len(table.rows) == len(seen) == 6
+    for (snr, std, n_ok), (cfg, cal, t_sample, snr_db) in zip(table.rows,
+                                                              seen):
+        assert snr == snr_db and n_ok == table.meta["trials"] == 200
+        assert_within_standard_errors(
+            std, closed_form_std(cfg, cal, t_sample, snr_db), n_ok)
