@@ -13,8 +13,7 @@ from .estimator import (CalibrationModel, TemperatureEstimate, calibrate,
                         phi_h_from_mixing, sample_phase, tau_from_phase)
 from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid,
                             TimeSeries, equilibrium_magnetization,
-                            fourier_coefficients, magnetization_spectrum,
-                            spectral_magnetization)
+                            fourier_coefficients, magnetization_lines)
 from .physics import (ParticleSpec, debye_response, langevin, tau_brownian,
                       tau_effective, tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ExperimentResult, FrequencyPlan,

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimator import direct_line_phase
-from .magnetization import (FieldConfig, SamplingGrid, fourier_coefficients,
-                            magnetization_spectrum, spectral_magnetization)
+from .magnetization import (FieldConfig, fourier_coefficients,
+                            magnetization_lines)
 from .physics import (debye_response, tau_brownian, tau_effective,
                       tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ScenarioConfig, TemperatureProgram,
@@ -171,17 +171,23 @@ def figure_relaxation_vs_diameter(k_aniso=20e3, coating=0.0, temperature=300.0,
 def figure_spectrum_vs_field_ratio(ratios=(1.0, 2.0, 3.0, 4.0, 5.5),
                                    b_high=0.36e-3, temperature=300.0,
                                    floor_db=-160.0) -> FigureTable:
-    """Normalized magnetization spectra for several B_low/B_high ratios."""
+    """Normalized magnetization spectra for several B_low/B_high ratios.
+
+    Each ratio's lines of M(t), normalized to its strongest line; phases
+    are referenced to t = 0, lines at or below floor_db are dropped.
+    """
     p = default_particle()
     tau = relaxation_time(p, temperature)
     rows = []
     for ratio in ratios:
         fld = FieldConfig(6000, 1570, b_high, ratio * b_high)
-        h = fourier_coefficients(fld, p, temperature)
-        ts = spectral_magnetization(h, tau, fld, SamplingGrid(500000, 1))
-        for f, amp, phase in magnetization_spectrum(ts, fld.f_base):
-            if amp > 0.0 and 20.0 * math.log10(amp) > floor_db:
-                rows.append((float(ratio), f, 20.0 * math.log10(amp), phase))
+        freqs, z = magnetization_lines(fourier_coefficients(fld, p, temperature),
+                                       tau)
+        amps = np.abs(z) / np.abs(z).max()
+        for f, amp, phase in zip(freqs, amps, np.angle(z)):
+            level_db = 20.0 * math.log10(amp)
+            if level_db > floor_db:
+                rows.append((float(ratio), float(f), level_db, float(phase)))
     return FigureTable("fig8", ("b_ratio", "frequency_hz", "amplitude_db",
                                 "phase_rad"),
                        rows, {"b_high_t": b_high, "temperature_k": temperature})

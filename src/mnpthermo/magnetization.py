@@ -1,9 +1,10 @@
 """Forward model of the particle magnetization under two-tone excitation.
 
-The steady-state waveform comes from one spectral route: Fourier
-coefficients of the equilibrium (Langevin) response (an rfft of M0 on a
-uniform grid), each line attenuated and delayed by the first-order
-response and placed on its DFT bin, one irfft per waveform.
+The steady state comes from one spectral route: Fourier coefficients of
+the equilibrium (Langevin) response (an rfft of M0 on a uniform grid),
+each line attenuated and delayed by the first-order response. The result
+is a set of lines (frequency, complex phasor); synthesize_lines places
+them on their DFT bins, one irfft per waveform, when samples are needed.
 
 The tests check it against an independent time-domain route in
 tests/oracles.py: fixed-step 4th-order integration of the relaxation ODE
@@ -23,7 +24,7 @@ from .physics import ParticleSpec, debye_response, langevin
 
 # Harmonic lines below this fraction of the peak coefficient carry no
 # information (the odd-symmetry selection rule zeroes them analytically)
-# and are dropped from waveform synthesis.
+# and are dropped from the line set.
 NEGLIGIBLE_LINE_FRACTION = 1e-13
 
 QUADRATURE_TOL = 1e-12  # aliasing allowed in a_n, relative to max|a_n|
@@ -128,9 +129,9 @@ class TimeSeries:
     def duration(self):
         return self.samples.size / self.sample_rate
 
-    def covers_integer_periods(self, f_base, tol=1e-9):
+    def covers_integer_periods(self, f_base):
         periods = self.duration * f_base
-        return abs(periods - round(periods)) < tol
+        return abs(periods - round(periods)) < 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,10 @@ class HarmonicSet:
     def frequencies(self):
         return self.indices * self.f_base
 
-    def significant(self, fraction=NEGLIGIBLE_LINE_FRACTION):
-        """Sub-set with |a_n| above `fraction` of the peak coefficient."""
+    def significant(self):
+        """Sub-set with |a_n| above NEGLIGIBLE_LINE_FRACTION of the peak."""
         peak = np.max(np.abs(self.coefficients)) if self.coefficients.size else 0.0
-        keep = np.abs(self.coefficients) > fraction * peak
+        keep = np.abs(self.coefficients) > NEGLIGIBLE_LINE_FRACTION * peak
         return HarmonicSet(self.f_base, self.indices[keep],
                            self.coefficients[keep])
 
@@ -173,9 +174,9 @@ def equilibrium_magnetization(t, fld: FieldConfig, p: ParticleSpec, temperature)
     return p.n_conc * p.m_s * langevin(xi_t)
 
 
-def default_n_max(fld: FieldConfig, guard_orders=6):
-    """Smallest index covering f_high + guard_orders * f_low."""
-    return int(math.ceil((fld.f_high + guard_orders * fld.f_low) / fld.f_base))
+def default_n_max(fld: FieldConfig):
+    """Smallest index covering f_high + 6 * f_low."""
+    return int(math.ceil((fld.f_high + 6 * fld.f_low) / fld.f_base))
 
 
 def fourier_coefficients(fld: FieldConfig, p: ParticleSpec, temperature,
@@ -237,42 +238,13 @@ def synthesize_lines(frequencies, phasors, grid: SamplingGrid, f_base):
     return np.fft.irfft(spectrum, n)
 
 
-def spectral_magnetization(h: HarmonicSet, tau, fld: FieldConfig,
-                           grid: SamplingGrid) -> TimeSeries:
-    """Steady-state M(t): each line attenuated and delayed per its frequency.
+def magnetization_lines(h: HarmonicSet, tau):
+    """Steady-state M(t) as lines: (frequencies, phasors) of Re(z*exp(jwt)).
 
-    M(t) = sum_n a_n / sqrt(1+(n w tau)^2) * cos(n w t - arctan(n w tau));
-    the decayed transient term is omitted. Negligible lines are skipped
-    (see NEGLIGIBLE_LINE_FRACTION).
+    z_n = a_n / sqrt(1+(n w tau)^2) * exp(-j*arctan(n w tau)); the decayed
+    transient term is omitted. Negligible lines are skipped (see
+    NEGLIGIBLE_LINE_FRACTION). synthesize_lines turns them into samples.
     """
     sig = h.significant()
     atten, lag = debye_response(2.0 * np.pi * sig.frequencies, tau)
-    out = synthesize_lines(sig.frequencies,
-                           sig.coefficients * atten * np.exp(-1j * lag),
-                           grid, h.f_base)
-    return TimeSeries(grid.sample_rate, out)
-
-
-def magnetization_spectrum(ts: TimeSeries, f_base):
-    """Exact-bin decomposition at multiples of f_base, normalized to the peak.
-
-    Returns a list of (frequency_hz, normalized_amplitude, phase_rad)
-    for every base-frequency bin up to Nyquist; phases are referenced to
-    the window start. Raises if the window is not an integer number of
-    base periods.
-    """
-    n = ts.samples.size
-    periods = n * f_base / ts.sample_rate
-    if abs(periods - round(periods)) > 1e-9:
-        raise ValueError("window must span an integer number of base periods")
-    w = int(round(periods))
-    bins = np.arange(1, (n // 2) // w + 1) * w
-    lines = ts.spectrum[bins]
-    amps = np.abs(lines)
-    phases = np.angle(lines)
-    freqs = bins * ts.sample_rate / n
-    peak = amps.max() if amps.size else 1.0
-    if peak == 0.0:
-        peak = 1.0
-    return [(float(f), float(a / peak), float(ph))
-            for f, a, ph in zip(freqs, amps, phases)]
+    return sig.frequencies, sig.coefficients * atten * np.exp(-1j * lag)

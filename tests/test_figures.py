@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from mnpthermo.figures import (figure_error_vs_snr, figure_mixing_vs_single,
                                figure_relaxation_vs_field,
                                figure_response_vs_frequency,
                                figure_spectrum_vs_field_ratio, generate_figure)
+from mnpthermo.magnetization import FieldConfig, default_n_max
+from mnpthermo.physics import debye_response
+from mnpthermo.scenarios import default_particle
+from mnpthermo.signal_chain import relaxation_time
+from tests.oracles import doubled_coefficients
 
 
 def test_unknown_id_rejected():
@@ -73,6 +80,30 @@ class TestSpectrumFigure:
         freqs = {r[1] for r in table.rows}
         assert 9140.0 in freqs and 2860.0 in freqs
         assert 7570.0 not in freqs and 4430.0 not in freqs
+
+    def test_rows_match_node_doubling_oracle(self):
+        # every row against a_n by node doubling times the Debye response,
+        # normalized to the strongest line of its ratio
+        table = generate_figure("fig8")
+        p, temperature = default_particle(), table.meta["temperature_k"]
+        tau = relaxation_time(p, temperature)
+        b_high = table.meta["b_high_t"]
+        for ratio in sorted({r[0] for r in table.rows}):
+            fld = FieldConfig(6000, 1570, b_high, ratio * b_high)
+            a, _ = doubled_coefficients(fld, p, temperature, default_n_max(fld))
+            freqs = np.arange(1, a.size + 1) * fld.f_base
+            atten, lag = debye_response(2.0 * np.pi * freqs, tau)
+            z = a * atten * np.exp(-1j * lag)
+            oracle = dict(zip(freqs, z / np.abs(z).max()))
+            rows = [r for r in table.rows if r[0] == ratio]
+            assert {f for f, w in oracle.items() if abs(w) > 1e-7} \
+                <= {r[1] for r in rows}  # every line above -140 dB
+            for _, f, level_db, phase in rows:
+                w = oracle[f]
+                assert abs(10.0 ** (level_db / 20.0) - abs(w)) < 1e-12
+                if level_db > -100.0:
+                    dphase = math.remainder(phase - np.angle(w), 2 * math.pi)
+                    assert abs(dphase) < 1e-9
 
 
 class TestComparisonFigures:

@@ -8,11 +8,11 @@ from scipy.integrate import IntegrationWarning, quad
 
 from mnpthermo import (FieldConfig, ParticleSpec, QuadratureError,
                        SamplingGrid, TimeSeries, equilibrium_magnetization,
-                       fourier_coefficients, langevin, magnetization_spectrum,
-                       spectral_magnetization, tau_brownian)
+                       fourier_coefficients, langevin, magnetization_lines,
+                       tau_brownian)
 from mnpthermo import figures, magnetization, signal_chain
 from mnpthermo.figures import FIGURE_IDS, generate_figure
-from mnpthermo.magnetization import default_n_max
+from mnpthermo.magnetization import default_n_max, synthesize_lines
 from mnpthermo.scenarios import load_scenario
 from tests.oracles import (dft_line, doubled_coefficients, ode_magnetization,
                            relax_toward, transient_periods)
@@ -37,6 +37,13 @@ SWEEP_TEMPERATURES = (20.0, 30.0, 40.0, 50.0, 65.0, 80.0, 100.0, 125.0,
 def coefficients(h):
     """Harmonic coefficient a_n keyed by line frequency (Hz)."""
     return dict(zip(h.frequencies, h.coefficients))
+
+
+def magnetization_series(h, tau, grid):
+    """Steady-state M(t) on the grid: the model's lines, one irfft."""
+    return TimeSeries(grid.sample_rate,
+                      synthesize_lines(*magnetization_lines(h, tau), grid,
+                                       h.f_base))
 
 
 @pytest.fixture
@@ -301,7 +308,7 @@ class TestSpectralMagnetization:
                                                         operating_field):
         h = fourier_coefficients(operating_field, particle, 300.0)
         grid = SamplingGrid(200000, 1)
-        out = spectral_magnetization(h, 1e-14, operating_field, grid)
+        out = magnetization_series(h, 1e-14, grid)
         t = np.arange(grid.n_samples(10.0)) / grid.sample_rate
         recon = np.zeros_like(t)
         for n, a in zip(h.indices, h.coefficients):
@@ -315,7 +322,7 @@ class TestSpectralMagnetization:
         h = HarmonicSet(100.0, [1], [2.0])
         tau = 1.0 / (2 * np.pi * 100.0)
         grid = SamplingGrid(10000, 2)
-        out = spectral_magnetization(h, tau, FieldConfig(200, 100, 0, 0), grid)
+        out = magnetization_series(h, tau, grid)
         t = np.arange(grid.n_samples(100.0)) / grid.sample_rate
         expected = 2.0 / math.sqrt(2) * np.cos(2 * np.pi * 100 * t - np.pi / 4)
         np.testing.assert_allclose(out.samples, expected, atol=1e-12)
@@ -324,7 +331,7 @@ class TestSpectralMagnetization:
         # each line lags by arctan(n * w_base * tau) exactly
         tau = tau_brownian(30e-9, 1e-3, 300.0)
         h = fourier_coefficients(operating_field, particle, 300.0)
-        ts = spectral_magnetization(h, tau, operating_field, SamplingGrid(500000, 1))
+        ts = magnetization_series(h, tau, SamplingGrid(500000, 1))
         a = coefficients(h)
         for f in (1570.0, 6000.0, 2860.0, 9140.0):
             phase = cmath.phase(dft_line(ts, f))
@@ -375,7 +382,7 @@ class TestCrossOracle:
         grid = SamplingGrid(500000, 1)
         n_max = int((6000 + 12 * 1570) / 10)
         h = fourier_coefficients(operating_field, particle, 300.0, n_max=n_max)
-        spec = spectral_magnetization(h, tau, operating_field, grid)
+        spec = magnetization_series(h, tau, grid)
         ode = ode_magnetization(operating_field, particle, 300.0, tau, grid)
         rms = np.sqrt(np.mean((spec.samples - ode.samples) ** 2))
         rms /= np.sqrt(np.mean(ode.samples ** 2))
@@ -386,7 +393,7 @@ class TestCrossOracle:
         grid = SamplingGrid(500000, 1)
         n_max = int((6000 + 14 * 1570) / 10)
         h = fourier_coefficients(operating_field, particle, 300.0, n_max=n_max)
-        spec = spectral_magnetization(h, tau, operating_field, grid)
+        spec = magnetization_series(h, tau, grid)
         step = min(tau / 40.0, 1.0 / (100.0 * 6000))
         ode = ode_magnetization(operating_field, particle, 300.0, tau, grid,
                                 max_step=step)
@@ -414,30 +421,15 @@ class TestTimeSeries:
 
 
 class TestMagnetizationSpectrum:
-    def test_pure_cosine_normalization(self):
-        fs, f = 100000, 500.0
-        t = np.arange(4000) / fs
-        ts = TimeSeries(fs, np.cos(2 * np.pi * f * t))
-        lines = magnetization_spectrum(ts, 100.0)
-        by_f = {fr: (a, ph) for fr, a, ph in lines}
-        assert by_f[500.0][0] == pytest.approx(1.0, rel=1e-12)
-        others = [a for fr, a, ph in lines if fr != 500.0]
-        assert max(others) < 1e-12
-
-    def test_rejects_partial_period(self):
-        ts = TimeSeries(1000, np.zeros(1501))
-        with pytest.raises(ValueError):
-            magnetization_spectrum(ts, 10.0)
-
     def test_operating_configuration_lines(self, particle, operating_field):
         tau = tau_brownian(30e-9, 1e-3, 300.0)
         h = fourier_coefficients(operating_field, particle, 300.0)
-        ts = spectral_magnetization(h, tau, operating_field, SamplingGrid(500000, 1))
-        spec = {f: a for f, a, ph in magnetization_spectrum(ts, 10.0)}
+        freqs, z = magnetization_lines(h, tau)
+        spec = dict(zip(freqs, np.abs(z) / np.abs(z).max()))
         for f in (6000.0, 1570.0, 4710.0, 9140.0, 2860.0):
             assert 20 * math.log10(spec[f]) > -60.0
         for f in (7570.0, 4430.0):  # f_H +- f_L: selection-rule silent
-            assert 20 * math.log10(max(spec[f], 1e-300)) < -120.0
+            assert 20 * math.log10(max(spec.get(f, 0.0), 1e-300)) < -120.0
 
     def test_ratio_grows_with_low_tone(self, particle):
         ratios = []

@@ -8,9 +8,13 @@ from mnpthermo import (AmplifierModel, CoilParams, MeasurementChannels,
                        NoiseModel, SignalChainConfig, TimeSeries, coil_transfer,
                        simulate_clean_channels)
 from mnpthermo.errors import ConfigError
-from mnpthermo.magnetization import SamplingGrid
-from mnpthermo.signal_chain import _synthesize, apply_noise
+from mnpthermo.magnetization import (SamplingGrid, fourier_coefficients,
+                                     magnetization_lines)
+from mnpthermo.signal_chain import (FARADAY_PHASE_OFFSET, _synthesize,
+                                    apply_noise, relaxation_time,
+                                    sample_voltage_lines)
 from tests.oracles import dft_line
+from tests.test_scenarios import shipped_scenario
 
 
 def make_chain(coil_a, coil_b, phi_o=0.0, phase_model="debye", window=1):
@@ -253,6 +257,27 @@ class TestSimulateChannels:
             ch1.diff_background.samples - noisy_channels(
                 operating_field, particle, 300.0,
                 make_chain(*coil_pair), 300.0).diff_background.samples)
+
+    def test_sample_lines_are_magnetization_lines(self):
+        # the chain's per-line model is the RK4-checked M(t) through the
+        # Faraday derivative and coil A: coupling * w * gain * conj(z) *
+        # exp(j(FARADAY_PHASE_OFFSET + coil phase)) for each line z of M
+        cfg = shipped_scenario("static.ini")
+        fld, p, t_sample, t_amb = cfg.field_config(), cfg.particle, 315.6, 300.0
+        tau = relaxation_time(p, t_sample)
+        h = fourier_coefficients(fld, p, t_sample)
+        lines = sample_voltage_lines(fld, p, t_sample, tau, cfg.coil_a, t_amb,
+                                     harmonics=h)
+        freqs, z = magnetization_lines(h, tau)
+        assert len(lines) == freqs.size == 73
+        for (f, amp, ph), f_m, z_m in zip(lines, freqs, z):
+            assert f == f_m
+            omega = 2.0 * math.pi * f
+            gain, phase = coil_transfer(cfg.coil_a, omega, t_amb)
+            expected = (cfg.coil_a.coupling * omega * gain * np.conj(z_m)
+                        * np.exp(1j * (FARADAY_PHASE_OFFSET + phase)))
+            assert abs(amp * np.exp(1j * ph) - expected) \
+                <= 1e-13 * abs(expected)
 
     def test_window_mismatch_rejected(self, particle, operating_field, coil_pair):
         from mnpthermo import MeasurementChannels
