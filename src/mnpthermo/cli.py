@@ -10,12 +10,14 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import (ConfigError, EstimationError, PlanRejection,
                      QuadratureError)
 from .figures import FIGURE_IDS, generate_figure
 from .scenarios import (format_field, load_scenario, plan_frequencies,
                         result_csv_lines, run_scenario, self_calibrate)
-from .signal_chain import NoiseModel, apply_noise
+from .signal_chain import apply_noise
 
 
 def _write_lines(lines, out):
@@ -55,7 +57,8 @@ def _measured_channels(args):
     if not t_sample > 0:  # also rejects nan
         raise ConfigError(f"--temperature must be positive (got {t_sample!r} K)")
     channels, ref_amp = cfg.clean_channels(t_sample)
-    channels = apply_noise(channels, NoiseModel(cfg.snr_db, cfg.seed), ref_amp)
+    channels = apply_noise(channels, cfg.noise, ref_amp,
+                           np.random.SeedSequence(cfg.seed))
     return cfg, t_sample, channels
 
 

@@ -46,8 +46,10 @@ class ParticleSpec:
     tau_0: float = 1e-9
 
     def __post_init__(self):
-        if not (0.0 < self.d_core <= self.d_hydro):
-            raise ValueError("need d_hydro >= d_core > 0")
+        for name in ("d_core", "d_hydro"):
+            _volume(name, getattr(self, name))
+        if not self.d_core <= self.d_hydro:
+            raise ValueError("need d_hydro >= d_core")
         for name in ("k_aniso", "m_s", "n_conc", "eta", "tau_0"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -56,8 +58,17 @@ class ParticleSpec:
     def from_bulk_magnetization(cls, d_core, d_hydro, k_aniso, m_s_bulk,
                                 n_conc, eta, tau_0=1e-9):
         """Build a spec with m_s = M_s_bulk * V_core (bulk value in A/m)."""
-        m_s = m_s_bulk * float(sphere_volume(d_core))
+        m_s = m_s_bulk * _volume("d_core", d_core)
         return cls(d_core, d_hydro, k_aniso, m_s, n_conc, eta, tau_0)
+
+
+def _volume(name, diameter):
+    """sphere_volume(diameter); ValueError naming it unless finite and > 0."""
+    with np.errstate(over="ignore"):
+        volume = float(sphere_volume(diameter))
+    if not 0.0 < volume < math.inf:  # also rejects nan
+        raise ValueError(f"{name} = {diameter!r} m has no finite volume > 0")
+    return volume
 
 
 def langevin(xi):

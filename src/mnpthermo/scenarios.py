@@ -7,7 +7,7 @@ against reference temperatures, Monte Carlo helpers, and CSV emission.
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +20,9 @@ from .physics import ParticleSpec
 from .signal_chain import (AmplifierModel, CoilParams, NoiseModel,
                            SignalChainConfig, coil_transfer,
                            simulate_clean_channels, apply_noise)
+
+
+MAX_WINDOW_SAMPLES = 1 << 24  # per channel: 128 MB of float64
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,10 @@ def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
     violated constraint. mains=None or 0 disables the mains check.
 
     Frequencies must be positive integer hertz (commensurability by
-    construction) and window_periods a positive integer; violations
-    cover the mixing-line positivity, mains collisions on both mixing
-    lines, the Nyquist margin and the rate/base-frequency divisibility.
+    construction), window_periods a positive integer and the window at
+    most MAX_WINDOW_SAMPLES samples (ValueError); violations cover the
+    mixing-line positivity, mains collisions on both mixing lines, the
+    Nyquist margin and the rate/base-frequency divisibility.
     """
     for name, v in (("f_high", f_high), ("f_low", f_low),
                     ("sample_rate", sample_rate),
@@ -72,6 +76,10 @@ def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
     f_high, f_low, sample_rate = int(f_high), int(f_low), int(sample_rate)
     mains = int(mains) if mains else 0
     f_base = math.gcd(f_high, f_low)
+    if sample_rate * int(window_periods) > MAX_WINDOW_SAMPLES * f_base:
+        raise ValueError(f"window_periods = {window_periods!r} at "
+                         f"sample_rate = {sample_rate:g} Hz gives a window "
+                         f"of more than {MAX_WINDOW_SAMPLES} samples")
     f_plus = f_high + 2 * f_low
     f_minus = f_high - 2 * f_low
 
@@ -157,29 +165,17 @@ class ScenarioConfig:
     phi_o: float = 0.0
     phase_model: str = "debye"
     mode: str = "mixing"
-    ref_policy: str = "excitation"   # "excitation" | "line"
     program: TemperatureProgram = TemperatureProgram()
     ambient: AmbientModel = AmbientModel()
     cal_temperatures: tuple = (315.0,)
     cal_kind: str = "one_point"
+    noise: NoiseModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ref_policy not in ("excitation", "line"):
-            raise ConfigError(f"unknown ref_policy {self.ref_policy!r}; "
-                              f"choose excitation or line")
         if not self.seed >= 0:
             raise ConfigError(f"seed must be a non-negative integer "
                               f"(got {self.seed!r})")
-        if self.snr_db != math.inf:
-            # NoiseModel.sigma divides by this power ratio
-            try:
-                ratio = 10.0 ** (float(self.snr_db) / 10.0)
-            except OverflowError:
-                ratio = math.inf
-            if not 0.0 < ratio < math.inf:  # also rejects nan
-                raise ConfigError(f"snr_db = {self.snr_db!r} gives no finite "
-                                  f"positive noise power ratio; use inf to "
-                                  f"disable noise")
+        object.__setattr__(self, "noise", NoiseModel(self.snr_db))
 
     def field_config(self):
         return FieldConfig(self.plan.f_high, self.plan.f_low,
@@ -191,7 +187,9 @@ class ScenarioConfig:
                                  grid, self.phi_o, self.phase_model)
 
     def ref_frequency(self):
-        return None if self.ref_policy == "line" else self.plan.f_high
+        """Reference read at each line (None) for the composed channels,
+        the only ones with reference lines there; else at f_high."""
+        return None if self.phase_model == "composed" else self.plan.f_high
 
     def nominal_coil_phase(self):
         """Coil-A phase at f_high at the calibration-time coil temperature.
@@ -327,7 +325,7 @@ def run_scenario(cfg: ScenarioConfig, cal: CalibrationModel | None = None) -> Ex
     temperatures = [float(t) for t in cfg.program.temperature(times)]
     draws = ((t_true, _point_seed(cfg.seed, i))
              for i, t_true in enumerate(temperatures))
-    estimates = _estimates(cfg, cal, NoiseModel(cfg.snr_db, cfg.seed), draws)
+    estimates = _estimates(cfg, cal, cfg.noise, draws)
     records = []
     for t, t_true, est in zip(times, temperatures, estimates):
         if est.valid:
@@ -355,7 +353,7 @@ def monte_carlo_std(cfg: ScenarioConfig, t_sample, snr_db, n_trials=200,
     draws = ((t_sample, _point_seed(cfg.seed, 0, j)) for j in range(n_trials))
     errors = []
     n_flagged = 0
-    for est in _estimates(cfg, cal, NoiseModel(snr_db, cfg.seed), draws):
+    for est in _estimates(cfg, cal, NoiseModel(snr_db), draws):
         if est.valid:
             errors.append(est.t_est - t_sample)
         else:
@@ -468,8 +466,8 @@ _SECTIONS = {
         "kind": ("cal_kind", str),
         "temperatures_k": ("cal_temperatures", _temperatures)}),
     "estimator": ((), {
-        "mode": ("mode", str), "ref_policy": ("ref_policy", str),
-        "phi_o_rad": ("phi_o", _number), "phase_model": ("phase_model", str)}),
+        "mode": ("mode", str), "phi_o_rad": ("phi_o", _number),
+        "phase_model": ("phase_model", str)}),
 }
 
 
@@ -536,8 +534,8 @@ def _scenario_from_parser(parser):
     make_particle = (ParticleSpec.from_bulk_magnetization
                      if "m_s_bulk" in particle else ParticleSpec)
 
-    field = _section(parser, "field")
-    plan = plan_frequencies(field.pop("f_high"), field.pop("f_low"),
+    tones = _section(parser, "field")
+    plan = plan_frequencies(tones.pop("f_high"), tones.pop("f_low"),
                             **_section(parser, "acquisition"))
 
     coil_a, coil_b = (
@@ -560,7 +558,7 @@ def _scenario_from_parser(parser):
         particle=make_particle(**particle), plan=plan,
         coil_a=coil_a, coil_b=coil_b, amplifier=amplifier,
         program=TemperatureProgram(**program), ambient=AmbientModel(**ambient),
-        **field, **_section(parser, "noise"),
+        **tones, **_section(parser, "noise"),
         **_section(parser, "calibration"), **_section(parser, "estimator"))
 
 

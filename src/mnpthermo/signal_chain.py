@@ -54,6 +54,13 @@ class CoilParams:
     def __post_init__(self):
         if self.r0 <= 0 or self.l0 <= 0 or self.coupling <= 0:
             raise ValueError("r0, l0 and coupling must be positive")
+        # ceilings far beyond any pick-up coil, far inside the float range
+        if not self.coupling <= 1.0:  # mu_0 * 8e5 turn-m^2
+            raise ValueError(f"coupling = {self.coupling!r} is above 1 V per "
+                             f"(A/m per s)")
+        if not self.l0 / self.r0 <= 1.0:
+            raise ValueError(f"coil time constant l0/r0 (l0 = {self.l0!r} H, "
+                             f"r0 = {self.r0!r} ohm) is above 1 s")
 
     def resistance(self, t_amb):
         r = self.r0 * (1.0 + self.alpha_r * (t_amb - self.t_ref))
@@ -144,12 +151,21 @@ class AmplifierModel:
 class NoiseModel:
     """Additive white Gaussian noise, power-referenced to a signal line.
 
-    snr_db is the power ratio of the reference line to the per-sample
-    noise; math.inf disables noise. Reproducible via seed.
+    snr_db is the power ratio 10**(snr_db/10) of the reference line to the
+    per-sample noise: a positive finite float (else ConfigError), or
+    math.inf to disable noise. apply_noise takes the seed from its caller.
     """
 
     snr_db: float = math.inf
-    seed: int = 0
+
+    def __post_init__(self):
+        try:
+            ratio = 10.0 ** (float(self.snr_db) / 10.0)
+        except OverflowError:
+            ratio = math.inf
+        if not (0.0 < ratio < math.inf or self.snr_db == math.inf):
+            raise ConfigError(f"snr_db = {self.snr_db!r} gives no finite "
+                              f"positive power ratio (inf disables noise)")
 
     def sigma(self, reference_amplitude):
         """Per-sample noise sigma; ConfigError when it is not finite.
@@ -163,7 +179,7 @@ class NoiseModel:
         try:
             signal_power = 0.5 * float(reference_amplitude)**2
             sigma = math.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             sigma = math.inf
         if not math.isfinite(sigma):  # also catches nan
             raise ConfigError(f"snr_db = {self.snr_db!r} gives no finite "
@@ -242,9 +258,8 @@ def _composed_line_orders(fld: FieldConfig):
     return orders
 
 
-def sample_voltage_lines(fld: FieldConfig, p: ParticleSpec, t_sample, tau,
-                         coil: CoilParams, t_amb, phase_model="debye",
-                         harmonics: HarmonicSet | None = None):
+def sample_voltage_lines(fld: FieldConfig, harmonics: HarmonicSet, tau,
+                         coil: CoilParams, t_amb, phase_model="debye"):
     """Per-line sample voltage (frequency, amplitude, phase) through one coil.
 
     Amplitudes carry the Faraday coupling * 2*pi*f factor, the first-order
@@ -254,8 +269,6 @@ def sample_voltage_lines(fld: FieldConfig, p: ParticleSpec, t_sample, tau,
     arctan(2*pi*f*tau); "composed" delays each tone before mixing, giving
     n1*arctan(w_H*tau) + n2*arctan(w_L*tau) on the canonical lines only.
     """
-    if harmonics is None:
-        harmonics = fourier_coefficients(fld, p, t_sample)
     sig = harmonics.significant()
     if phase_model == "composed":
         orders = _composed_line_orders(fld)
@@ -329,8 +342,8 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
 
     tau = relaxation_time(p, t_sample)
     harmonics = _cached_harmonics(fld, p, float(t_sample))
-    sample_lines = sample_voltage_lines(fld, p, t_sample, tau, chain.coil_a,
-                                        t_amb, chain.phase_model, harmonics)
+    sample_lines = sample_voltage_lines(fld, harmonics, tau, chain.coil_a,
+                                        t_amb, chain.phase_model)
     sample_amplified = _through_amplifier(sample_lines, chain.amplifier)
 
     ft_a = feedthrough_lines(fld, chain.coil_a, t_amb, chain.phi_o)
@@ -356,18 +369,16 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
 
 
 def apply_noise(channels: MeasurementChannels, noise: NoiseModel,
-                reference_amplitude, seed_sequence=None) -> MeasurementChannels:
+                reference_amplitude, seed_sequence) -> MeasurementChannels:
     """Add seeded white Gaussian noise, one stream per channel.
 
     Every channel gets the sigma that puts the noise power noise.snr_db
-    below a line of reference_amplitude; the streams spawn from
-    seed_sequence (default: noise.seed). An infinite snr_db returns
+    below a line of reference_amplitude; the three streams spawn from
+    seed_sequence, a np.random.SeedSequence. An infinite snr_db returns
     channels unchanged.
     """
     if math.isinf(noise.snr_db):
         return channels
-    if seed_sequence is None:
-        seed_sequence = np.random.SeedSequence(noise.seed)
     sigma = noise.sigma(reference_amplitude)
     keys = seed_sequence.spawn(3)
     noisy = [TimeSeries(ts.sample_rate,

@@ -5,9 +5,10 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
+from mnpthermo.constants import K_BOLTZMANN
 from mnpthermo.magnetization import (FieldConfig, SamplingGrid, TimeSeries,
                                      equilibrium_magnetization)
-from mnpthermo.physics import ParticleSpec
+from mnpthermo.physics import ParticleSpec, langevin
 
 
 def dft_line(ts, f):
@@ -50,6 +51,36 @@ def doubled_coefficients(fld, p, temperature, n_max):
         prev = coeffs
         n_nodes *= 2
     raise AssertionError("no convergence in 12 passes")
+
+
+def torus_coefficients(fld, p, temperature, n_max):
+    """Cosine coefficients a_1..a_n_max of M0 from its two-angle spectrum.
+
+    M0 = N m_s L(xi_H cos th1 + xi_L cos th2) with th1 = w_H t and
+    th2 = w_L t. An fft2 on m x m nodes of (th1, th2) gives the coefficients
+    c(n1, n2) of exp(j (n1 th1 + n2 th2)), and a_n is 2 Re of the sum of
+    c(n1, n2) over n1 f_H + n2 f_L = n f_base. L is analytic for
+    |Im xi| < pi, so |c| <= C exp(-r0 (|n1| + |n2|)) with
+    r0 = asinh(pi / xi_max), and m is the least power of two (at least 64)
+    that puts the truncated and aliased orders, ~exp(-r0 m / 2), below
+    1e-16. This is a second route to fourier_coefficients: it shares
+    neither its time nodes nor its dependence on f_base.
+    """
+    scale = p.m_s / (K_BOLTZMANN * temperature)
+    xi_h, xi_l = scale * fld.b_high, scale * fld.b_low
+    r0 = math.asinh(math.pi / (xi_h + xi_l))
+    m = max(64, 1 << math.ceil(math.log2(2.0 * math.log(1e16) / r0)))
+    cos_theta = np.cos(2.0 * np.pi * np.arange(m) / m)
+    m0 = p.n_conc * p.m_s * langevin(xi_h * cos_theta[:, None]
+                                     + xi_l * cos_theta[None, :])
+    c = np.fft.fft2(m0).real / m**2
+    orders = np.rint(np.fft.fftfreq(m, 1.0 / m)).astype(int)  # signed
+    n = (orders[:, None] * round(fld.f_high / fld.f_base)
+         + orders[None, :] * round(fld.f_low / fld.f_base))
+    on_bin = (n >= 1) & (n <= n_max)
+    a = np.zeros(n_max + 1)
+    np.add.at(a, n[on_bin], 2.0 * c[on_bin])
+    return a[1:]
 
 
 def _rk4_relaxation_weights(z):

@@ -17,7 +17,7 @@ from mnpthermo.figures import (figure_error_vs_snr, figure_mixing_vs_single,
 from mnpthermo.scenarios import (TemperatureProgram, default_scenario,
                                  emit_csv, ideal_coils, run_scenario,
                                  self_calibrate)
-from mnpthermo.signal_chain import NoiseModel, apply_noise
+from mnpthermo.signal_chain import apply_noise
 from tests.oracles import ode_magnetization
 from tests.test_magnetization import magnetization_series
 from tests.test_scenarios import shipped_scenario
@@ -32,8 +32,8 @@ def report(number, ok, message):
 def estimate_at(cfg, t_sample, cal, seed_entropy=None):
     channels, ref_amp = cfg.clean_channels(t_sample)
     if seed_entropy is not None:
-        channels = apply_noise(channels, NoiseModel(cfg.snr_db, cfg.seed),
-                               ref_amp, np.random.SeedSequence(seed_entropy))
+        channels = apply_noise(channels, cfg.noise, ref_amp,
+                               np.random.SeedSequence(seed_entropy))
     return cfg.estimate(channels, cal)
 
 
@@ -80,7 +80,7 @@ def test_2_selection_rule_and_ratio_trend(particle, operating_field):
 
 def test_3_estimator_exactness_composed():
     cfg = replace(default_scenario(), phase_model="composed",
-                  ref_policy="line", cal_temperatures=(315.0,))
+                  cal_temperatures=(315.0,))
     cal = self_calibrate(cfg)
     worst = 0.0
     for t in np.linspace(310.0, 320.0, 5):

@@ -80,7 +80,7 @@ def test_non_integer_plan_in_config_is_config_error(tmp_path, capsys, old,
     ("snr_db = 92.3", "snr_db = -inf"),
     ("eta_pa_s = 1e-3", "eta_pa_s = nan"),
     ("r0_ohm = 10.4177", "r0_ohm = nan"),
-    ("ref_policy = excitation", "ref_policy = excitation\nphi_o_rad = nan"),
+    ("mode = mixing", "mode = mixing\nphi_o_rad = nan"),
     ("ambient_coupling = 0.02", "ambient_coupling = -inf"),
 ])
 def test_non_finite_number_in_config_is_config_error(tmp_path, capsys, old,
@@ -183,15 +183,38 @@ def test_unsquarable_reference_line_is_config_error(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_unknown_ref_policy_is_config_error(tmp_path, capsys):
-    # a typo used to run as "excitation"
+@pytest.mark.parametrize("old, new, named", [
+    ("coupling = 1e-8", "coupling = 1e300", "coupling = 1e+300"),
+    ("r0_ohm = 10.4177", "r0_ohm = 1e-300", "r0 = 1e-300"),
+    ("d_core_m = 30e-9", "d_core_m = 1e300", "d_core = 1e+300"),
+    ("window_periods = 1", "window_periods = 1e300",
+     "window_periods = 1e+300"),
+], ids=["coupling", "r0", "d_core", "window_periods"])
+def test_out_of_range_value_is_named_config_error(tmp_path, capsys, old, new,
+                                                  named):
+    # each used to print numpy overflow or invalid-cast warnings (which
+    # fail here, as under -W error) and then exit 2 blaming snr_db
+    # ("reference line of inf V"), the d_hydro >= d_core rule or "exact
+    # bins"
+    text = (ROOT / "configs" / "static.ini").read_text()
+    assert old in text
+    path = tmp_path / "range.ini"
+    path.write_text(text.replace(old, new, 1))
+    assert main(["estimate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error category=config" in captured.err
+    assert named in captured.err and captured.out == ""
+
+
+def test_ref_policy_key_is_config_error(tmp_path, capsys):
+    # the reference read follows phase_model; the key it had is unknown
     path = tmp_path / "policy.ini"
-    path.write_text(SCENARIO_INI.replace("ref_policy = excitation",
-                                         "ref_policy = lines"))
+    path.write_text(SCENARIO_INI.replace("mode = mixing",
+                                         "mode = mixing\nref_policy = line"))
     assert main(["scenario", "run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error category=config" in err
-    assert "ref_policy 'lines'" in err
+    assert "unknown key 'ref_policy' in [estimator]" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -341,6 +364,17 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random (with hashlib and secrets) adds ~10 ms to every start,
+    # before calibration; only the noise draws need it
+    probe = ("import sys, mnpthermo, mnpthermo.cli; "
+             "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def _every_command():

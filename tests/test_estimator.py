@@ -11,10 +11,9 @@ from mnpthermo import (AmplifierModel, CalibrationModel, EstimationError,
                        tau_from_phase)
 from mnpthermo.estimator import _bin_projection, wrap_phase
 from mnpthermo.scenarios import measured_coils
-from mnpthermo.signal_chain import (NoiseModel, _difference_lines,
-                                    _synthesize, _through_amplifier,
-                                    apply_noise, coil_transfer,
-                                    feedthrough_lines)
+from mnpthermo.signal_chain import (_difference_lines, _synthesize,
+                                    _through_amplifier, apply_noise,
+                                    coil_transfer, feedthrough_lines)
 from tests.oracles import dft_line
 from tests.test_scenarios import shipped_scenario
 
@@ -60,8 +59,8 @@ class TestExtractPhasor:
         cfg = shipped_scenario("static.ini")
         channels, ref_amp = cfg.clean_channels(cfg.program.t_start)
         if noisy:
-            channels = apply_noise(channels, NoiseModel(cfg.snr_db, 0),
-                                   ref_amp)
+            channels = apply_noise(channels, cfg.noise, ref_amp,
+                                   np.random.SeedSequence(0))
         plan = cfg.plan
         for ts in (channels.diff_background, channels.diff_sample,
                    channels.ref_a):

@@ -15,7 +15,8 @@ from mnpthermo.figures import FIGURE_IDS, generate_figure
 from mnpthermo.magnetization import default_n_max, synthesize_lines
 from mnpthermo.scenarios import load_scenario
 from tests.oracles import (dft_line, doubled_coefficients, ode_magnetization,
-                           relax_toward, transient_periods)
+                           relax_toward, torus_coefficients,
+                           transient_periods)
 from tests.test_scenarios import ROOT
 
 K_B = 1.380649e-23
@@ -248,6 +249,19 @@ class TestFourierCoefficients:
         assert len(m0_node_counts) == 1
         a, _ = doubled_coefficients(fld, particle, temperature,
                                     default_n_max(fld))
+        assert np.max(np.abs(h.coefficients - a)) \
+            <= 1e-12 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("fld, temperature", [
+        *((FIELDS["config"], t) for t in (100.0, 300.0, 315.6, 400.0)),
+        (FieldConfig(6001, 1570, 0.36e-3, 1.98e-3), 315.6),  # f_base 1 Hz
+        (FieldConfig(4710, 1570, 0.36e-3, 1.98e-3), 315.6),  # f_H = 3 f_L
+    ], ids=["100K", "300K", "315.6K", "400K", "f_base-1Hz", "f_H-3f_L"])
+    def test_one_pass_matches_torus_oracle(self, particle, fld, temperature):
+        # the torus folds every (n1, n2) with n1 f_H + n2 f_L = n f_base
+        # onto bin n; at f_H = 3 f_L each bin takes one pair per n1
+        h = fourier_coefficients(fld, particle, temperature)
+        a = torus_coefficients(fld, particle, temperature, h.indices[-1])
         assert np.max(np.abs(h.coefficients - a)) \
             <= 1e-12 * np.max(np.abs(a))
 

@@ -6,9 +6,9 @@ amplitude A gets phase noise of variance s^2/A^2. Then:
 
 * single mode subtracts two noisy channels at f_H:
   Var phi_H = 2 s^2 / A_H^2;
-* mixing with ref_policy = excitation halves the sum of the two
-  differences at f+ and f- and subtracts one reference phase at f_H from
-  both: Var phi_H = s^2/2 * (1/A+^2 + 1/A-^2) + s^2/A_ref^2;
+* mixing (debye phase model, reference read at f_H) halves the sum of
+  the two differences at f+ and f- and subtracts one reference phase at
+  f_H from both: Var phi_H = s^2/2 * (1/A+^2 + 1/A-^2) + s^2/A_ref^2;
 * T = A/tau + B with tau = tan(phi_H)/(2 pi f_H), so
   std T = (T - B) / |sin phi_H cos phi_H| * sqrt(Var phi_H).
 
@@ -19,9 +19,13 @@ the clean reference-channel line at f_H and B the calibration offset.
 import math
 from dataclasses import replace
 
-from mnpthermo import figures
+import numpy as np
+import pytest
+
+from mnpthermo import figures, scenarios
 from mnpthermo.scenarios import (default_scenario, monte_carlo_std,
-                                 plan_frequencies, self_calibrate)
+                                 plan_frequencies, run_scenario,
+                                 self_calibrate)
 from mnpthermo.signal_chain import NoiseModel
 from tests.oracles import dft_line
 from tests.test_scenarios import shipped_scenario
@@ -31,7 +35,11 @@ PUBLISHED_STATIC_STD_K = 0.0267
 
 def closed_form_std(cfg, cal, t_sample, snr_db):
     """First-order temperature-error std at snr_db (see module docstring)."""
-    clean, ref_amp = cfg.clean_channels(t_sample)
+    return closed_form_std_of(cfg, cal, *cfg.clean_channels(t_sample), snr_db)
+
+
+def closed_form_std_of(cfg, cal, clean, ref_amp, snr_db):
+    """closed_form_std from the clean channels and reference amplitude."""
     sigma = NoiseModel(snr_db).sigma(ref_amp)
     s2 = 2.0 * sigma**2 / clean.ref_a.samples.size  # per component, per bin
 
@@ -43,7 +51,7 @@ def closed_form_std(cfg, cal, t_sample, snr_db):
     if cfg.mode == "single":
         var_phi = 2.0 * s2 / line(plan.f_high) ** 2
     else:
-        assert cfg.ref_policy == "excitation"
+        assert cfg.ref_frequency() == plan.f_high
         a_ref = abs(dft_line(clean.ref_a, plan.f_high))
         var_phi = (0.5 * s2 * (1.0 / line(plan.f_plus) ** 2
                                + 1.0 / line(plan.f_minus) ** 2)
@@ -118,3 +126,31 @@ def test_shipped_fig1_rows_match_closed_form(monkeypatch):
         assert snr == snr_db and n_ok == table.meta["trials"] == 200
         assert_within_standard_errors(
             std, closed_form_std(cfg, cal, t_sample, snr_db), n_ok)
+
+
+@pytest.mark.parametrize("name, n_points", [("static.ini", 120),
+                                            ("cooling.ini", 60)])
+def test_scenario_errors_calibrate_to_closed_form(monkeypatch, name,
+                                                  n_points):
+    # over the seed-0 scenario run, error / predicted std is a unit-variance
+    # draw at every point; each prediction reads the clean channels that
+    # the run synthesized at its temperature, so nothing is synthesized
+    # twice (static: 1 temperature, cooling: 60)
+    cfg = shipped_scenario(name)
+    assert cfg.program.n_points == n_points
+    cal = self_calibrate(cfg)
+    predicted = {}
+    synthesize = scenarios.simulate_clean_channels
+
+    def recorded(fld, p, t_sample, chain, t_amb):
+        clean, ref_amp = synthesize(fld, p, t_sample, chain, t_amb)
+        predicted[t_sample] = closed_form_std_of(cfg, cal, clean, ref_amp,
+                                                 cfg.snr_db)
+        return clean, ref_amp
+
+    monkeypatch.setattr(scenarios, "simulate_clean_channels", recorded)
+    records = run_scenario(cfg, cal).records
+    assert all(r.ok for r in records)
+    assert len(predicted) == len({r.t_true for r in records})
+    z = [r.error / predicted[r.t_true] for r in records]
+    assert_within_standard_errors(float(np.std(z)), 1.0, len(z))

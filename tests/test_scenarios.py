@@ -16,7 +16,7 @@ from mnpthermo.scenarios import (RESULT_COLUMNS, AmbientModel,
                                  _point_seed, default_scenario, emit_csv,
                                  load_scenario, monte_carlo_std,
                                  run_scenario, self_calibrate)
-from mnpthermo.signal_chain import NoiseModel, apply_noise
+from mnpthermo.signal_chain import apply_noise
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -147,9 +147,9 @@ class TestAmbientModel:
 
 class TestRunScenario:
     def test_composed_zero_noise_exact(self):
-        # composed forward model + per-line reference: exact inverse
+        # composed forward model, read at each line's reference: exact
         cfg = replace(default_scenario(), phase_model="composed",
-                      ref_policy="line", cal_temperatures=(315.0,),
+                      cal_temperatures=(315.0,),
                       program=TemperatureProgram("cooling", 318.0, 312.0,
                                                  60.0, 4, 30.0))
         result = run_scenario(cfg)
@@ -186,14 +186,13 @@ class TestRunScenario:
 
 def _per_point_rows(cfg, cal):
     """Reference loop: fresh clean synthesis at every point, then noise."""
-    noise = NoiseModel(cfg.snr_db, cfg.seed)
     times = cfg.program.times()
     rows = []
     for i, (t, t_true) in enumerate(zip(times,
                                         cfg.program.temperature(times))):
         t_true = float(t_true)
         clean, ref_amp = cfg.clean_channels(t_true)
-        est = cfg.estimate(apply_noise(clean, noise, ref_amp,
+        est = cfg.estimate(apply_noise(clean, cfg.noise, ref_amp,
                                        _point_seed(cfg.seed, i)), cal)
         assert est.valid
         rows.append((float(t), t_true, est.t_est, est.tau_est, est.phi_h,
@@ -240,10 +239,9 @@ class TestCleanSynthesisReuse:
         cal = self_calibrate(cfg)
         t_sample, n_trials = 315.6, 16
         clean, ref_amp = cfg.clean_channels(t_sample)
-        noise = NoiseModel(cfg.snr_db, cfg.seed)
         errors = []
         for j in range(n_trials):
-            est = cfg.estimate(apply_noise(clean, noise, ref_amp,
+            est = cfg.estimate(apply_noise(clean, cfg.noise, ref_amp,
                                            _point_seed(cfg.seed, 0, j)), cal)
             errors.append(est.t_est - t_sample)
         assert monte_carlo_std(cfg, t_sample, cfg.snr_db, n_trials,
@@ -355,7 +353,6 @@ temperatures_k = 315.0
 
 [estimator]
 mode = mixing
-ref_policy = excitation
 """
 
 
