@@ -11,9 +11,9 @@ from .errors import (ConfigError, EstimationError, PlanRejection,
 from .estimator import (CalibrationModel, TemperatureEstimate, calibrate,
                         direct_line_phase, estimate_tau, estimate_temperature,
                         phi_h_from_mixing, sample_phase, tau_from_phase)
-from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid,
-                            TimeSeries, equilibrium_magnetization,
-                            fourier_coefficients, magnetization_lines)
+from .magnetization import (FieldConfig, HarmonicSet, TimeSeries,
+                            equilibrium_magnetization, fourier_coefficients,
+                            magnetization_lines)
 from .physics import (ParticleSpec, debye_response, langevin, tau_brownian,
                       tau_effective, tau_field_corrected, tau_neel)
 from .scenarios import (AmbientModel, ExperimentResult, FrequencyPlan,

@@ -124,9 +124,10 @@ def _build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--temperature", type=float)
         p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=("mixing", "single"))
+        if name == "estimate":  # simulate never estimates
+            p.add_argument("--mode", choices=("mixing", "single"))
         p.add_argument("--out")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, mode=None)
 
     p = sub.add_parser("scenario", help="run a configured experiment")
     p.add_argument("action", choices=("run",))

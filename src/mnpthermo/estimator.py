@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .magnetization import TimeSeries
+from .magnetization import FrequencyPlan, TimeSeries
 from .signal_chain import AmplifierModel, MeasurementChannels
 
 # Lines whose difference amplitude falls below this fraction of the
@@ -30,10 +30,10 @@ def wrap_phase(phi):
     return math.atan2(math.sin(phi), math.cos(phi))
 
 
-def _bin_projection(ts: TimeSeries, f):
-    """Complex amplitude of the exact-bin line at f, from the window start."""
-    k = int(round(f * ts.samples.size / ts.sample_rate))
-    return complex(ts.spectrum[k])
+def _bin_projection(ts: TimeSeries, plan: FrequencyPlan, f):
+    """Complex amplitude of the line at f hertz, a multiple of the plan's
+    f_base, from the window start."""
+    return complex(ts.spectrum[plan.bin(plan.order(f))])
 
 
 def _sample_line(ch: MeasurementChannels, f):
@@ -42,17 +42,18 @@ def _sample_line(ch: MeasurementChannels, f):
     Raises EstimationError when it is below the line floor of the sample
     channel.
     """
-    z = (_bin_projection(ch.diff_sample, f)
-         - _bin_projection(ch.diff_background, f))
+    z = (_bin_projection(ch.diff_sample, ch.plan, f)
+         - _bin_projection(ch.diff_background, ch.plan, f))
     if abs(z) <= _LINE_FLOOR_FRACTION * max(ch.diff_sample.peak, 1e-300):
-        raise EstimationError(f"no detectable sample line at {f} Hz")
+        raise EstimationError(f"no detectable sample line at {float(f)} Hz")
     return z
 
 
 def sample_phase(ch: MeasurementChannels, amp: AmplifierModel, f, phi_o=0.0,
                  ref_frequency=None):
-    """Sample phase at line f: the before/after-sample channel difference,
-    corrected by the reference channel and the amplifier table.
+    """Sample phase at line f (integer hertz, a line of the channels'
+    plan): the before/after-sample channel difference, corrected by the
+    reference channel and the amplifier table.
 
     phase[diff_sample - diff_background] - phase[ref_a] - amp.phase(f)
     + phi_o, composed in the complex domain and wrapped to (-pi, pi].
@@ -65,9 +66,10 @@ def sample_phase(ch: MeasurementChannels, amp: AmplifierModel, f, phi_o=0.0,
     """
     z_diff = _sample_line(ch, f)
     f_ref = f if ref_frequency is None else ref_frequency
-    z_ref = _bin_projection(ch.ref_a, f_ref)
+    z_ref = _bin_projection(ch.ref_a, ch.plan, f_ref)
     if abs(z_ref) <= _LINE_FLOOR_FRACTION * max(ch.ref_a.peak, 1e-300):
-        raise EstimationError(f"reference channel has no line at {f_ref} Hz")
+        raise EstimationError(f"reference channel has no line at "
+                              f"{float(f_ref)} Hz")
 
     z = z_diff * np.conj(z_ref) / abs(z_ref)
     correction = cmath.exp(1j * (phi_o - float(amp.phase(f))))

@@ -178,16 +178,18 @@ def figure_spectrum_vs_field_ratio(ratios=(1.0, 2.0, 3.0, 4.0, 5.5),
     """
     p = default_particle()
     tau = relaxation_time(p, temperature)
+    plan = plan_frequencies(6000, 1570)
     rows = []
     for ratio in ratios:
-        fld = FieldConfig(6000, 1570, b_high, ratio * b_high)
-        freqs, z = magnetization_lines(fourier_coefficients(fld, p, temperature),
-                                       tau)
+        fld = FieldConfig(plan, b_high, ratio * b_high)
+        orders, z = magnetization_lines(
+            fourier_coefficients(fld, p, temperature), tau)
         amps = np.abs(z) / np.abs(z).max()
-        for f, amp, phase in zip(freqs, amps, np.angle(z)):
+        for n, amp, phase in zip(orders, amps, np.angle(z)):
             level_db = 20.0 * math.log10(amp)
             if level_db > floor_db:
-                rows.append((float(ratio), float(f), level_db, float(phase)))
+                rows.append((float(ratio), float(n * plan.f_base), level_db,
+                             float(phase)))
     return FigureTable("fig8", ("b_ratio", "frequency_hz", "amplitude_db",
                                 "phase_rad"),
                        rows, {"b_high_t": b_high, "temperature_k": temperature})

@@ -3,8 +3,9 @@
 The steady state comes from one spectral route: Fourier coefficients of
 the equilibrium (Langevin) response (an rfft of M0 on a uniform grid),
 each line attenuated and delayed by the first-order response. The result
-is a set of lines (frequency, complex phasor); synthesize_lines places
-them on their DFT bins, one irfft per waveform, when samples are needed.
+is a set of lines (base order, complex phasor); synthesize_lines places
+them on the bins of the FrequencyPlan, the one integer source of every
+frequency and bin, one irfft per waveform, when samples are needed.
 
 The tests check it against an independent time-domain route in
 tests/oracles.py: fixed-step 4th-order integration of the relaxation ODE
@@ -32,56 +33,64 @@ MAX_QUADRATURE_NODES = 1 << 25  # one pass: 256 MB per float64 array
 
 
 @dataclass(frozen=True)
-class FieldConfig:
-    """Two-tone excitation field; amplitudes are mu_0*H in tesla.
+class FrequencyPlan:
+    """Two commensurate tones and the digitizer rate, in integer hertz.
 
-    Frequencies must be positive integers (Hz) so the pair shares an exact
-    rational base frequency; f_base is their greatest common divisor.
+    scenarios.plan_frequencies validates and builds it. Every line is a
+    base order n: n * f_base hertz, at DFT bin n * window_periods of the
+    n_samples-long window. All of it is integer arithmetic.
     """
 
-    f_high: float
-    f_low: float
+    f_high: int
+    f_low: int
+    sample_rate: int
+    window_periods: int = 1
+
+    @property
+    def f_base(self):
+        """Fundamental (Hz) of the tone pair: their greatest common divisor."""
+        return math.gcd(self.f_high, self.f_low)
+
+    @property
+    def f_plus(self):
+        return self.f_high + 2 * self.f_low
+
+    @property
+    def f_minus(self):
+        return self.f_high - 2 * self.f_low
+
+    @property
+    def n_samples(self):
+        """Window length: window_periods whole base periods."""
+        return self.sample_rate // self.f_base * self.window_periods
+
+    def order(self, f):
+        """Base order of the line at f hertz, a multiple of f_base."""
+        return f // self.f_base
+
+    def bin(self, order):
+        """DFT bin of base order `order` in the window."""
+        return order * self.window_periods
+
+
+@dataclass(frozen=True)
+class FieldConfig:
+    """Two-tone excitation field: the plan's tones at amplitudes mu_0*H
+    in tesla."""
+
+    plan: FrequencyPlan
     b_high: float
     b_low: float
 
     def __post_init__(self):
-        if not (self.f_high > self.f_low > 0):
-            raise ValueError("need f_high > f_low > 0")
-        for f in (self.f_high, self.f_low):
-            if float(f) != int(f):
-                raise ValueError("tone frequencies must be integer Hz "
-                                 "(commensurate pair required)")
         if self.b_high < 0 or self.b_low < 0:
             raise ValueError("field amplitudes must be non-negative")
-
-    @property
-    def f_base(self):
-        """Fundamental (Hz) of the commensurate pair."""
-        return float(math.gcd(int(self.f_high), int(self.f_low)))
 
     def b_field(self, t):
         """Instantaneous field (tesla) at time(s) t."""
         t = np.asarray(t, dtype=float)
-        return (self.b_low * np.cos(2 * np.pi * self.f_low * t)
-                + self.b_high * np.cos(2 * np.pi * self.f_high * t))
-
-
-@dataclass(frozen=True)
-class SamplingGrid:
-    """Uniform sampling over an integer number of base periods."""
-
-    sample_rate: float
-    n_periods: int = 1
-
-    def __post_init__(self):
-        if self.sample_rate <= 0 or self.n_periods < 1:
-            raise ValueError("sample_rate must be positive, n_periods >= 1")
-
-    def n_samples(self, f_base):
-        per_period = self.sample_rate / f_base
-        if abs(per_period - round(per_period)) > 1e-9:
-            raise ValueError("sample_rate must be an integer multiple of f_base")
-        return int(round(per_period)) * self.n_periods
+        return (self.b_low * np.cos(2 * np.pi * self.plan.f_low * t)
+                + self.b_high * np.cos(2 * np.pi * self.plan.f_high * t))
 
 
 @dataclass(frozen=True)
@@ -108,8 +117,8 @@ class TimeSeries:
     def spectrum(self):
         """One-sided spectrum rfft * 2/N (read-only, computed once).
 
-        Bin k holds the complex amplitude of the line at k/duration Hz,
-        phase referenced to the window start.
+        Bin k holds the complex amplitude of the line at k cycles per
+        window, phase referenced to the window start.
         """
         spectrum = np.fft.rfft(self.samples) * (2.0 / self.samples.size)
         spectrum.flags.writeable = False
@@ -125,25 +134,17 @@ class TimeSeries:
     def times(self):
         return np.arange(self.samples.size) / self.sample_rate
 
-    @property
-    def duration(self):
-        return self.samples.size / self.sample_rate
-
-    def covers_integer_periods(self, f_base):
-        periods = self.duration * f_base
-        return abs(periods - round(periods)) < 1e-9
-
 
 @dataclass(frozen=True)
 class HarmonicSet:
     """Real Fourier cosine coefficients a_n of the equilibrium response.
 
-    Entries are (n, a_n) with frequency n * f_base; indices strictly
+    Entries are (n, a_n) with n a base order of the plan; indices strictly
     increasing. Coefficients are real because the zero-phase two-cosine
     drive makes M0(t) even in t.
     """
 
-    f_base: float
+    plan: FrequencyPlan
     indices: np.ndarray
     coefficients: np.ndarray
 
@@ -156,13 +157,13 @@ class HarmonicSet:
 
     @property
     def frequencies(self):
-        return self.indices * self.f_base
+        return self.indices * float(self.plan.f_base)
 
     def significant(self):
         """Sub-set with |a_n| above NEGLIGIBLE_LINE_FRACTION of the peak."""
         peak = np.max(np.abs(self.coefficients)) if self.coefficients.size else 0.0
         keep = np.abs(self.coefficients) > NEGLIGIBLE_LINE_FRACTION * peak
-        return HarmonicSet(self.f_base, self.indices[keep],
+        return HarmonicSet(self.plan, self.indices[keep],
                            self.coefficients[keep])
 
 
@@ -175,8 +176,8 @@ def equilibrium_magnetization(t, fld: FieldConfig, p: ParticleSpec, temperature)
 
 
 def default_n_max(fld: FieldConfig):
-    """Smallest index covering f_high + 6 * f_low."""
-    return int(math.ceil((fld.f_high + 6 * fld.f_low) / fld.f_base))
+    """Base order of f_high + 6 * f_low."""
+    return fld.plan.order(fld.plan.f_high + 6 * fld.plan.f_low)
 
 
 def fourier_coefficients(fld: FieldConfig, p: ParticleSpec, temperature,
@@ -194,21 +195,22 @@ def fourier_coefficients(fld: FieldConfig, p: ParticleSpec, temperature,
     """
     if not temperature > 0:  # also rejects nan
         raise ValueError("temperature must be positive")
+    plan = fld.plan
     if n_max is None:
         n_max = default_n_max(fld)
-    if n_max < (fld.f_high + 4 * fld.f_low) / fld.f_base:
+    if n_max < plan.order(plan.f_high + 4 * plan.f_low):
         raise ValueError(f"n_max={n_max} does not cover f_high + 4*f_low")
 
     moment_field = p.m_s * (fld.b_high + fld.b_low)  # k_B*T * xi_max
     rate = (math.asinh(math.pi * K_BOLTZMANN * temperature / moment_field)
-            * fld.f_base / fld.f_high if moment_field else math.inf)
+            * plan.f_base / plan.f_high if moment_field else math.inf)
     need = n_max + math.log(1 / QUADRATURE_TOL) / rate if rate else math.inf
     bits = math.ceil(math.log2(min(need, 2 * MAX_QUADRATURE_NODES)))
     n_nodes = max(2 << max(12, (8 * n_max).bit_length()), 1 << bits)
     if n_nodes > MAX_QUADRATURE_NODES:
         raise QuadratureError(f"harmonic quadrature at {temperature} K needs "
                               f"{max(need, n_nodes):.3g} nodes (> 2^25)")
-    nodes = np.arange(n_nodes) * ((1.0 / fld.f_base) / n_nodes)
+    nodes = np.arange(n_nodes) * ((1.0 / plan.f_base) / n_nodes)
     spectrum = np.fft.rfft(equilibrium_magnetization(nodes, fld, p,
                                                      temperature))
     coeffs = (2.0 / n_nodes) * spectrum[1:n_max + 1].real
@@ -217,29 +219,28 @@ def fourier_coefficients(fld: FieldConfig, p: ParticleSpec, temperature,
     if folded > QUADRATURE_TOL * np.max(np.abs(coeffs)):
         raise QuadratureError(f"harmonic quadrature at {temperature} K "
                               f"aliases {folded:.3g} onto its coefficients")
-    return HarmonicSet(fld.f_base, np.arange(1, n_max + 1), coeffs)
+    return HarmonicSet(plan, np.arange(1, n_max + 1), coeffs)
 
 
-def synthesize_lines(frequencies, phasors, grid: SamplingGrid, f_base):
-    """Sum of lines Re(z * exp(2j*pi*f*t)) on the grid, by one irfft.
+def synthesize_lines(orders, phasors, plan: FrequencyPlan):
+    """Sum of lines Re(z * exp(2j*pi*n*f_base*t)) over the plan's window,
+    by one irfft.
 
-    Each line's 0.5 * N * z goes on its DFT bin. Every frequency must be
-    an exact bin strictly between 0 and Nyquist (ValueError otherwise);
-    lines sharing a bin add.
+    Each line's 0.5 * N * z goes on the bin of its base order n, which must
+    lie strictly between 0 and Nyquist (ValueError otherwise); lines
+    sharing a bin add.
     """
-    n = grid.n_samples(f_base)
-    cycles = np.asarray(frequencies, dtype=float) * (n / grid.sample_rate)
-    bins = np.rint(cycles).astype(int)
-    if (np.any(np.abs(cycles - bins) > 1e-9) or np.any(bins < 1)
-            or np.any(2 * bins >= n)):
-        raise ValueError("line frequencies must be exact bins below Nyquist")
+    n = plan.n_samples
+    bins = plan.bin(np.asarray(orders, dtype=int))
+    if np.any(bins < 1) or np.any(2 * bins >= n):
+        raise ValueError("line bins must lie between DC and Nyquist")
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     np.add.at(spectrum, bins, 0.5 * n * np.asarray(phasors, dtype=complex))
     return np.fft.irfft(spectrum, n)
 
 
 def magnetization_lines(h: HarmonicSet, tau):
-    """Steady-state M(t) as lines: (frequencies, phasors) of Re(z*exp(jwt)).
+    """Steady-state M(t) as lines: (base orders, phasors) of Re(z*exp(jwt)).
 
     z_n = a_n / sqrt(1+(n w tau)^2) * exp(-j*arctan(n w tau)); the decayed
     transient term is omitted. Negligible lines are skipped (see
@@ -247,4 +248,4 @@ def magnetization_lines(h: HarmonicSet, tau):
     """
     sig = h.significant()
     atten, lag = debye_response(2.0 * np.pi * sig.frequencies, tau)
-    return sig.frequencies, sig.coefficients * atten * np.exp(-1j * lag)
+    return sig.indices, sig.coefficients * atten * np.exp(-1j * lag)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, EstimationError, PlanRejection
 from .estimator import (CalibrationModel, calibrate, estimate_tau,
                         estimate_temperature)
-from .magnetization import FieldConfig, SamplingGrid
+from .magnetization import FieldConfig, FrequencyPlan
 from .physics import ParticleSpec
 from .signal_chain import (AmplifierModel, CoilParams, NoiseModel,
                            SignalChainConfig, coil_transfer,
@@ -23,32 +23,6 @@ from .signal_chain import (AmplifierModel, CoilParams, NoiseModel,
 
 
 MAX_WINDOW_SAMPLES = 1 << 24  # per channel: 128 MB of float64
-
-
-@dataclass(frozen=True)
-class FrequencyPlan:
-    """Validated excitation/analysis frequency set (all exact bins).
-
-    The base frequency and the mixing lines f_high +- 2*f_low derive from
-    the two tones.
-    """
-
-    f_high: float
-    f_low: float
-    sample_rate: float
-    window_periods: int = 1
-
-    @property
-    def f_base(self):
-        return float(math.gcd(int(self.f_high), int(self.f_low)))
-
-    @property
-    def f_plus(self):
-        return self.f_high + 2 * self.f_low
-
-    @property
-    def f_minus(self):
-        return self.f_high - 2 * self.f_low
 
 
 def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
@@ -73,35 +47,34 @@ def plan_frequencies(f_high, f_low, sample_rate=500000, mains=50,
     if f_high <= f_low:
         raise ValueError("need f_high > f_low")
 
-    f_high, f_low, sample_rate = int(f_high), int(f_low), int(sample_rate)
+    plan = FrequencyPlan(int(f_high), int(f_low), int(sample_rate),
+                         int(window_periods))
     mains = int(mains) if mains else 0
-    f_base = math.gcd(f_high, f_low)
-    if sample_rate * int(window_periods) > MAX_WINDOW_SAMPLES * f_base:
+    if plan.sample_rate * plan.window_periods > (MAX_WINDOW_SAMPLES
+                                                 * plan.f_base):
         raise ValueError(f"window_periods = {window_periods!r} at "
-                         f"sample_rate = {sample_rate:g} Hz gives a window "
-                         f"of more than {MAX_WINDOW_SAMPLES} samples")
-    f_plus = f_high + 2 * f_low
-    f_minus = f_high - 2 * f_low
+                         f"sample_rate = {plan.sample_rate:g} Hz gives a "
+                         f"window of more than {MAX_WINDOW_SAMPLES} samples")
 
     violations = []
-    if f_minus <= 0:
-        violations.append(f"f_minus = {f_minus} Hz not positive "
+    if plan.f_minus <= 0:
+        violations.append(f"f_minus = {plan.f_minus} Hz not positive "
                           f"(need f_high > 2*f_low)")
     if mains:
-        for name, f in (("f_plus", f_plus), ("f_minus", f_minus)):
+        for name, f in (("f_plus", plan.f_plus), ("f_minus", plan.f_minus)):
             if f > 0 and f % mains == 0:
                 violations.append(
                     f"{name} = {f} Hz is a multiple of {mains} Hz mains "
                     f"({f // mains} x {mains})")
-    if sample_rate < 10 * f_plus:
-        violations.append(f"sample_rate {sample_rate} < 10*f_plus = {10 * f_plus}")
-    if sample_rate % f_base != 0:
-        violations.append(
-            f"sample_rate {sample_rate} not an integer multiple of f_base {f_base}")
+    if plan.sample_rate < 10 * plan.f_plus:
+        violations.append(f"sample_rate {plan.sample_rate} < 10*f_plus = "
+                          f"{10 * plan.f_plus}")
+    if plan.sample_rate % plan.f_base != 0:
+        violations.append(f"sample_rate {plan.sample_rate} not an integer "
+                          f"multiple of f_base {plan.f_base}")
     if violations:
         raise PlanRejection(violations)
-    return FrequencyPlan(float(f_high), float(f_low), float(sample_rate),
-                         int(window_periods))
+    return plan
 
 
 @dataclass(frozen=True)
@@ -177,14 +150,14 @@ class ScenarioConfig:
                               f"(got {self.seed!r})")
         object.__setattr__(self, "noise", NoiseModel(self.snr_db))
 
+    @cached_property
     def field_config(self):
-        return FieldConfig(self.plan.f_high, self.plan.f_low,
-                           self.b_high, self.b_low)
+        return FieldConfig(self.plan, self.b_high, self.b_low)
 
+    @cached_property
     def chain(self):
-        grid = SamplingGrid(self.plan.sample_rate, self.plan.window_periods)
         return SignalChainConfig(self.coil_a, self.coil_b, self.amplifier,
-                                 grid, self.phi_o, self.phase_model)
+                                 self.phi_o, self.phase_model)
 
     def ref_frequency(self):
         """Reference read at each line (None) for the composed channels,
@@ -214,8 +187,8 @@ class ScenarioConfig:
         """
         if t_amb is None:
             t_amb = self.ambient.ambient(t_sample)
-        return simulate_clean_channels(self.field_config(), self.particle,
-                                       t_sample, self.chain(), t_amb)
+        return simulate_clean_channels(self.field_config, self.particle,
+                                       t_sample, self.chain, t_amb)
 
     @cached_property
     def _estimator_options(self):

@@ -3,10 +3,11 @@
 Models two mismatched pick-up coils with temperature-dependent impedance,
 a differential amplifier with tabulated gain/phase, direct excitation
 feedthrough, and seeded additive white Gaussian noise. Channel synthesis is
-done in the frequency domain: every spectral line is a (frequency,
+done in the frequency domain: every spectral line is a (base order,
 amplitude, phase) triple pushed through the coil and amplifier transfer
-functions, then placed on its DFT bin; one irfft turns a channel's line
-set into its sampled waveform.
+functions at its frequency, then placed on its bin of the field's
+FrequencyPlan; one irfft turns a channel's line set into its sampled
+waveform.
 
 Phase bookkeeping follows the voltage-signal convention of the detection
 equations: a line whose magnetization lags by `lag` appears in the coil
@@ -24,8 +25,9 @@ import numpy as np
 
 from .constants import MU_0
 from .errors import ConfigError
-from .magnetization import (FieldConfig, HarmonicSet, SamplingGrid, TimeSeries,
-                            fourier_coefficients, synthesize_lines)
+from .magnetization import (FieldConfig, FrequencyPlan, HarmonicSet,
+                            TimeSeries, fourier_coefficients,
+                            synthesize_lines)
 from .physics import (ParticleSpec, debye_response, tau_brownian,
                       tau_effective, tau_neel)
 
@@ -195,7 +197,6 @@ class SignalChainConfig:
     coil_a: CoilParams
     coil_b: CoilParams
     amplifier: AmplifierModel
-    grid: SamplingGrid            # digitizer rate and window, all channels
     phi_o: float = 0.0            # excitation feedthrough phase (rad)
     phase_model: str = "debye"    # "debye" | "composed"
 
@@ -206,7 +207,7 @@ class SignalChainConfig:
 
 @dataclass
 class MeasurementChannels:
-    """The three digitized channels sharing one acquisition window.
+    """The three digitized channels of one plan's acquisition window.
 
     diff_background  amplified coil difference without sample
     diff_sample      amplified coil difference with sample
@@ -217,23 +218,16 @@ class MeasurementChannels:
     diff_background: TimeSeries
     diff_sample: TimeSeries
     ref_a: TimeSeries
-    f_base: float
-
-    def __post_init__(self):
-        series = (self.diff_background, self.diff_sample, self.ref_a)
-        rates = {s.sample_rate for s in series}
-        sizes = {s.samples.size for s in series}
-        if len(rates) != 1 or len(sizes) != 1:
-            raise ConfigError("channels must share sample rate and window")
-        if not self.diff_background.covers_integer_periods(self.f_base):
-            raise ConfigError("window must span integer base periods")
+    plan: FrequencyPlan
 
 
-def _synthesize(lines, grid: SamplingGrid, f_base):
-    """Sum cosine lines (frequency, amplitude, phase) into a waveform."""
-    f, amp, ph = np.array(lines, dtype=float).reshape(-1, 3).T
-    out = synthesize_lines(f, amp * np.exp(1j * ph), grid, f_base)
-    return TimeSeries(grid.sample_rate, out)
+def _synthesize(lines, plan: FrequencyPlan):
+    """Sum cosine lines (base order, amplitude, phase) into a waveform."""
+    amp, ph = np.array([line[1:] for line in lines],
+                       dtype=float).reshape(-1, 2).T
+    out = synthesize_lines([n for n, _, _ in lines], amp * np.exp(1j * ph),
+                           plan)
+    return TimeSeries(plan.sample_rate, out)
 
 
 @lru_cache(maxsize=16)
@@ -248,19 +242,21 @@ def relaxation_time(p: ParticleSpec, t_sample):
                          tau_neel(p.d_core, p.k_aniso, t_sample, p.tau_0))
 
 
-def _composed_line_orders(fld: FieldConfig):
-    """Canonical (n1, n2) tone orders for the composed-phase convention."""
+def _composed_line_orders(plan: FrequencyPlan):
+    """Canonical (n1, n2) tone orders for the composed-phase convention,
+    keyed by the base order of their line n1*f_high + n2*f_low."""
     orders = {}
     for n1, n2 in ((0, 1), (0, 3), (1, -2), (1, 0), (1, 2)):
-        f = n1 * fld.f_high + n2 * fld.f_low
-        if f > 0:
-            orders[int(round(f / fld.f_base))] = (n1, n2)
+        n = plan.order(n1 * plan.f_high + n2 * plan.f_low)
+        if n > 0:
+            orders[n] = (n1, n2)
     return orders
 
 
 def sample_voltage_lines(fld: FieldConfig, harmonics: HarmonicSet, tau,
                          coil: CoilParams, t_amb, phase_model="debye"):
-    """Per-line sample voltage (frequency, amplitude, phase) through one coil.
+    """Per-line sample voltage (base order, amplitude, phase) through one
+    coil.
 
     Amplitudes carry the Faraday coupling * 2*pi*f factor, the first-order
     attenuation and the coil gain. Phases follow the voltage convention
@@ -270,13 +266,15 @@ def sample_voltage_lines(fld: FieldConfig, harmonics: HarmonicSet, tau,
     n1*arctan(w_H*tau) + n2*arctan(w_L*tau) on the canonical lines only.
     """
     sig = harmonics.significant()
+    plan = fld.plan
+    f_base = float(plan.f_base)
     if phase_model == "composed":
-        orders = _composed_line_orders(fld)
-        lag_h = math.atan(2.0 * math.pi * fld.f_high * tau)
-        lag_l = math.atan(2.0 * math.pi * fld.f_low * tau)
+        orders = _composed_line_orders(plan)
+        lag_h = math.atan(2.0 * math.pi * plan.f_high * tau)
+        lag_l = math.atan(2.0 * math.pi * plan.f_low * tau)
     lines = []
     for n, a in zip(sig.indices, sig.coefficients):
-        f = n * sig.f_base
+        f = n * f_base
         omega = 2.0 * math.pi * f
         atten, lag = debye_response(omega, tau)
         if phase_model == "composed":
@@ -287,44 +285,48 @@ def sample_voltage_lines(fld: FieldConfig, harmonics: HarmonicSet, tau,
         gain_c, phase_c = coil_transfer(coil, omega, t_amb)
         amp = coil.coupling * omega * abs(a) * atten * gain_c
         ph = lag + FARADAY_PHASE_OFFSET + (math.pi if a < 0 else 0.0) + phase_c
-        lines.append((f, amp, ph))
+        lines.append((n, amp, ph))
     return lines
 
 
 def feedthrough_lines(fld: FieldConfig, coil: CoilParams, t_amb, phi_o,
-                      frequencies=None):
-    """Direct excitation pick-up (frequency, amplitude, phase) in one coil.
+                      orders=None):
+    """Direct excitation pick-up (base order, amplitude, phase) in one coil.
 
-    Physical channels carry the two excitation tones; pass `frequencies`
+    Physical channels carry the two excitation tones; pass base `orders`
     to lay reference lines at other analysis bins (composed-convention
     synthetic channels do this so the per-line reference reading works).
     """
-    tone_amplitude = {fld.f_high: fld.b_high / MU_0, fld.f_low: fld.b_low / MU_0}
-    if frequencies is None:
-        frequencies = list(tone_amplitude)
+    plan = fld.plan
+    f_base = float(plan.f_base)
+    tone_amplitude = {plan.order(plan.f_high): fld.b_high / MU_0,
+                      plan.order(plan.f_low): fld.b_low / MU_0}
+    if orders is None:
+        orders = list(tone_amplitude)
     lines = []
-    for f in frequencies:
-        omega = 2.0 * math.pi * f
+    for n in orders:
+        omega = 2.0 * math.pi * (n * f_base)
         gain_c, phase_c = coil_transfer(coil, omega, t_amb)
-        h_amp = tone_amplitude.get(f, fld.b_high / MU_0)
-        lines.append((f, coil.coupling * omega * h_amp * gain_c, phi_o + phase_c))
+        h_amp = tone_amplitude.get(n, fld.b_high / MU_0)
+        lines.append((n, coil.coupling * omega * h_amp * gain_c, phi_o + phase_c))
     return lines
 
 
-def _through_amplifier(lines, amp: AmplifierModel):
-    return [(f, a * float(amp.gain(f)), ph + float(amp.phase(f)))
-            for f, a, ph in lines]
+def _through_amplifier(lines, amp: AmplifierModel, plan: FrequencyPlan):
+    f_base = float(plan.f_base)
+    return [(n, a * float(amp.gain(n * f_base)),
+             ph + float(amp.phase(n * f_base))) for n, a, ph in lines]
 
 
 def _difference_lines(lines_a, lines_b):
     """Complex per-line subtraction of two line sets (A - B)."""
     acc = {}
-    for f, a, ph in lines_a:
-        acc[f] = acc.get(f, 0j) + a * np.exp(1j * ph)
-    for f, a, ph in lines_b:
-        acc[f] = acc.get(f, 0j) - a * np.exp(1j * ph)
-    return [(f, float(np.abs(z)), float(np.angle(z)))
-            for f, z in sorted(acc.items()) if np.abs(z) > 0.0]
+    for n, a, ph in lines_a:
+        acc[n] = acc.get(n, 0j) + a * np.exp(1j * ph)
+    for n, a, ph in lines_b:
+        acc[n] = acc.get(n, 0j) - a * np.exp(1j * ph)
+    return [(n, float(np.abs(z)), float(np.angle(z)))
+            for n, z in sorted(acc.items()) if np.abs(z) > 0.0]
 
 
 def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
@@ -337,14 +339,12 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
     channel also receives feedthrough-structured lines at the analysis
     bins.
     """
-    grid = chain.grid
-    f_base = fld.f_base
-
+    plan = fld.plan
     tau = relaxation_time(p, t_sample)
     harmonics = _cached_harmonics(fld, p, float(t_sample))
     sample_lines = sample_voltage_lines(fld, harmonics, tau, chain.coil_a,
                                         t_amb, chain.phase_model)
-    sample_amplified = _through_amplifier(sample_lines, chain.amplifier)
+    sample_amplified = _through_amplifier(sample_lines, chain.amplifier, plan)
 
     ft_a = feedthrough_lines(fld, chain.coil_a, t_amb, chain.phi_o)
     ft_b = feedthrough_lines(fld, chain.coil_b, t_amb, chain.phi_o)
@@ -352,18 +352,16 @@ def simulate_clean_channels(fld: FieldConfig, p: ParticleSpec, t_sample,
     if chain.phase_model == "composed":
         ref_lines = feedthrough_lines(
             fld, chain.coil_a, t_amb, chain.phi_o,
-            frequencies=sorted({fld.f_high, fld.f_low}
-                               | {f for f, _, _ in sample_lines}))
+            orders=sorted({n for n, _, _ in ft_a + sample_lines}))
 
     background_lines = _through_amplifier(_difference_lines(ft_a, ft_b),
-                                          chain.amplifier)
+                                          chain.amplifier, plan)
 
-    diff_background = _synthesize(background_lines, grid, f_base)
-    diff_sample = _synthesize(background_lines + sample_amplified, grid,
-                              f_base)
-    ref_a = _synthesize(ref_lines, grid, f_base)
+    diff_background = _synthesize(background_lines, plan)
+    diff_sample = _synthesize(background_lines + sample_amplified, plan)
+    ref_a = _synthesize(ref_lines, plan)
 
-    channels = MeasurementChannels(diff_background, diff_sample, ref_a, f_base)
+    channels = MeasurementChannels(diff_background, diff_sample, ref_a, plan)
     reference_amplitude = max((a for _, a, _ in sample_amplified), default=0.0)
     return channels, reference_amplitude
 
@@ -386,4 +384,4 @@ def apply_noise(channels: MeasurementChannels, noise: NoiseModel,
                         .standard_normal(ts.samples.size))
              for ts, k in zip((channels.diff_background, channels.diff_sample,
                                channels.ref_a), keys)]
-    return MeasurementChannels(noisy[0], noisy[1], noisy[2], channels.f_base)
+    return MeasurementChannels(noisy[0], noisy[1], noisy[2], channels.plan)

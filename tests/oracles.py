@@ -6,7 +6,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from mnpthermo.constants import K_BOLTZMANN
-from mnpthermo.magnetization import (FieldConfig, SamplingGrid, TimeSeries,
+from mnpthermo.magnetization import (FieldConfig, TimeSeries,
                                      equilibrium_magnetization)
 from mnpthermo.physics import ParticleSpec, langevin
 
@@ -42,7 +42,7 @@ def doubled_coefficients(fld, p, temperature, n_max):
     n_nodes = 1 << max(12, (8 * n_max).bit_length())
     prev = None
     for _ in range(12):
-        nodes = np.arange(n_nodes) * ((1.0 / fld.f_base) / n_nodes)
+        nodes = np.arange(n_nodes) * ((1.0 / fld.plan.f_base) / n_nodes)
         m0 = equilibrium_magnetization(nodes, fld, p, temperature)
         coeffs = (2.0 / n_nodes) * np.fft.rfft(m0)[1:n_max + 1].real
         if prev is not None and (np.max(np.abs(coeffs - prev))
@@ -75,8 +75,9 @@ def torus_coefficients(fld, p, temperature, n_max):
                                      + xi_l * cos_theta[None, :])
     c = np.fft.fft2(m0).real / m**2
     orders = np.rint(np.fft.fftfreq(m, 1.0 / m)).astype(int)  # signed
-    n = (orders[:, None] * round(fld.f_high / fld.f_base)
-         + orders[None, :] * round(fld.f_low / fld.f_base))
+    plan = fld.plan
+    n = (orders[:, None] * (plan.f_high // plan.f_base)
+         + orders[None, :] * (plan.f_low // plan.f_base))
     on_bin = (n >= 1) & (n <= n_max)
     a = np.zeros(n_max + 1)
     np.add.at(a, n[on_bin], 2.0 * c[on_bin])
@@ -126,30 +127,31 @@ def transient_periods(tau, f_base):
 
 
 def ode_magnetization(fld: FieldConfig, p: ParticleSpec, temperature, tau,
-                      grid: SamplingGrid, max_step=None) -> TimeSeries:
+                      max_step=None) -> TimeSeries:
     """Time-domain oracle for the steady-state magnetization.
 
     Integrates from M(0) = 0 through the transient (see transient_periods)
-    and returns the following `grid.n_periods` base periods. The transient
+    and returns the following window of the field's plan (its
+    `window_periods` base periods at its sample rate). The transient
     spans whole base periods, so every line at a multiple of f_base has
     the same phase from the window start as from t = 0. The internal step
     obeys h <= tau/20 and h <= 1/(50*f_high); pass `max_step` to force a
     coarser ceiling and get a ValueError if it violates those.
     """
-    f_base = fld.f_base
-    step_limit = min(tau / 20.0, 1.0 / (50.0 * fld.f_high))
+    plan = fld.plan
+    step_limit = min(tau / 20.0, 1.0 / (50.0 * plan.f_high))
     if max_step is not None:
         if max_step > step_limit * (1 + 1e-12):
             raise ValueError(
                 f"requested step {max_step} exceeds stability limit {step_limit}")
         step_limit = max_step
-    dt_out = 1.0 / grid.sample_rate
+    dt_out = 1.0 / plan.sample_rate
     substeps = max(1, int(math.ceil(dt_out / step_limit - 1e-12)))
     h = dt_out / substeps
 
-    n_trans = transient_periods(tau, f_base)
-    n_out = grid.n_samples(f_base)
-    n_trans_samples = n_trans * int(round(grid.sample_rate / f_base))
+    n_trans = transient_periods(tau, plan.f_base)
+    n_out = plan.n_samples
+    n_trans_samples = n_trans * (plan.sample_rate // plan.f_base)
     total_steps = (n_trans_samples + n_out) * substeps
 
     t_half = np.arange(2 * total_steps + 1) * (h / 2.0)
@@ -157,4 +159,4 @@ def ode_magnetization(fld: FieldConfig, p: ParticleSpec, temperature, tau,
     states = relax_toward(m0, tau, h, m_init=0.0)
 
     keep = states[n_trans_samples * substeps::substeps][:n_out]
-    return TimeSeries(grid.sample_rate, keep)
+    return TimeSeries(plan.sample_rate, keep)

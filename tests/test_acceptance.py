@@ -40,12 +40,11 @@ def estimate_at(cfg, t_sample, cal, seed_entropy=None):
 def test_1_cross_oracle_physics(particle, operating_field):
     start = time.time()
     tau = m.tau_brownian(30e-9, 1e-3, 300.0)
-    grid = m.SamplingGrid(500000, 1)
     n_max = int((6000 + 12 * 1570) / 10)  # cover the spectrum, not just
     # the analysis lines, so reconstruction truncation stays negligible
     h = m.fourier_coefficients(operating_field, particle, 300.0, n_max=n_max)
-    spec = magnetization_series(h, tau, grid)
-    ode = ode_magnetization(operating_field, particle, 300.0, tau, grid)
+    spec = magnetization_series(h, tau)
+    ode = ode_magnetization(operating_field, particle, 300.0, tau)
     rms = np.sqrt(np.mean((spec.samples - ode.samples) ** 2))
     rms /= np.sqrt(np.mean(ode.samples ** 2))
     elapsed = time.time() - start
@@ -57,7 +56,7 @@ def test_1_cross_oracle_physics(particle, operating_field):
 def test_2_selection_rule_and_ratio_trend(particle, operating_field):
     tau = m.tau_brownian(30e-9, 1e-3, 300.0)
     h = m.fourier_coefficients(operating_field, particle, 300.0)
-    ts = magnetization_series(h, tau, m.SamplingGrid(500000, 1))
+    ts = magnetization_series(h, tau)
     lines = (9140.0, 2860.0, 6000.0, 1570.0, 4710.0, 7570.0, 4430.0)
     bins = [round(f / 10.0) for f in lines]
     spec = dict(zip(lines, np.abs(ts.spectrum[bins]) / ts.peak))
@@ -67,7 +66,7 @@ def test_2_selection_rule_and_ratio_trend(particle, operating_field):
                  for f in (7570.0, 4430.0))
     ratios = []
     for r in (1.0, 2.0, 3.0, 4.0, 5.5):
-        fld = m.FieldConfig(6000, 1570, 0.36e-3, r * 0.36e-3)
+        fld = replace(operating_field, b_low=r * 0.36e-3)
         hr = m.fourier_coefficients(fld, particle, 300.0)
         a = dict(zip(hr.frequencies, hr.coefficients))
         ratios.append(abs(a[9140] / a[6000]))

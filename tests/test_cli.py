@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mnpthermo import magnetization, scenarios
 from mnpthermo.cli import main
 from mnpthermo.figures import FIGURE_IDS
 from mnpthermo.scenarios import emit_csv, run_scenario
@@ -206,6 +215,66 @@ def test_out_of_range_value_is_named_config_error(tmp_path, capsys, old, new,
     assert named in captured.err and captured.out == ""
 
 
+# The [field] and [acquisition] keys that feed the frequency plan and the
+# field, with their values in configs/static.ini.
+PLAN_KEYS = {"f_h_hz": "6000", "f_l_hz": "1570", "b_h_t": "0.36e-3",
+             "b_l_t": "1.98e-3", "sample_rate_hz": "500000",
+             "window_periods": "1", "mains_hz": "50"}
+
+
+def _scaled(shipped):
+    """The shipped value, or it times +-10**e over 25 decades, or 0."""
+    def scale(sign, e):
+        value = float(shipped)
+        return repr(sign * (value * 10 ** e if e >= 0 else value / 10 ** -e))
+
+    return st.one_of(st.just(shipped), st.just("0"),
+                     st.builds(scale, st.sampled_from((1, -1)),
+                               st.integers(-12, 12)))
+
+
+@st.composite
+def _plan_key_changes(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(PLAN_KEYS)), min_size=2,
+                         max_size=4, unique=True))
+    return {key: draw(_scaled(PLAN_KEYS[key])) for key in keys}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(changes=_plan_key_changes())
+def test_plan_keys_in_config_exit_cleanly(changes):
+    # several plan-feeding keys changed at once: estimate exits 0 with
+    # finite numbers, 2 naming a config error (a rejected plan included)
+    # or 4 naming an estimation failure; nothing escapes main, and no
+    # numpy warning is raised on the way. The package's window and
+    # quadrature limits are lowered here to bound the run time, so a plan
+    # or a field beyond them exits 2 too.
+    text = (ROOT / "configs" / "static.ini").read_text()
+    for key, value in changes.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1,
+                      flags=re.M)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.object(scenarios, "MAX_WINDOW_SAMPLES", 1 << 16), \
+            mock.patch.object(magnetization, "MAX_QUADRATURE_NODES", 1 << 18), \
+            warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        path = os.path.join(scratch, "plan.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code = main(["estimate", "--config", path])
+    category = {0: None, 2: "config", 4: "estimation"}
+    assert code in category, (code, err.getvalue())
+    if code == 0:
+        row = out.getvalue().splitlines()[1]
+        assert all(math.isfinite(float(x)) for x in row.split(","))
+    else:
+        assert err.getvalue().startswith(
+            f"error category={category[code]}: "), err.getvalue()
+        assert out.getvalue() == ""
+
+
 def test_ref_policy_key_is_config_error(tmp_path, capsys):
     # the reference read follows phase_model; the key it had is unknown
     path = tmp_path / "policy.ini"
@@ -276,6 +345,15 @@ class TestSimulate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "t_s,diff_background_v,diff_sample_v,ref_a_v"
         assert len(lines) == 1 + 50000
+
+    def test_mode_refused(self, scenario_file, capsys):
+        # simulate never estimates: --mode used to be accepted and ignored
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", scenario_file, "--mode", "single"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --mode single" in captured.err
+        assert captured.out == ""
 
 
 class TestScenario:

@@ -1,13 +1,14 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mnpthermo import (AmplifierModel, CalibrationModel, EstimationError,
-                       FieldConfig, MeasurementChannels, SamplingGrid,
-                       TimeSeries, calibrate, estimate_temperature,
-                       phi_h_from_mixing, sample_phase, tau_brownian,
+                       FieldConfig, MeasurementChannels, TimeSeries,
+                       calibrate, estimate_temperature, phi_h_from_mixing,
+                       plan_frequencies, sample_phase, tau_brownian,
                        tau_from_phase)
 from mnpthermo.estimator import _bin_projection, wrap_phase
 from mnpthermo.scenarios import measured_coils
@@ -24,23 +25,24 @@ class TestExtractPhasor:
     """The estimator's exact-bin read, _bin_projection."""
 
     def test_known_tone(self):
-        fs, f = 50000, 500.0
-        t = np.arange(1000) / fs  # 10 cycles
-        ts = TimeSeries(fs, np.cos(2 * np.pi * f * t + 0.3))
-        z = _bin_projection(ts, f)
+        plan = plan_frequencies(500, 50, 50000, None)  # 1000 samples
+        t = np.arange(plan.n_samples) / plan.sample_rate  # 10 cycles
+        ts = TimeSeries(plan.sample_rate, np.cos(2 * np.pi * 500 * t + 0.3))
+        z = _bin_projection(ts, plan, 500)
         assert abs(z) == pytest.approx(1.0, rel=1e-12)
         assert cmath.phase(z) == pytest.approx(0.3, abs=1e-12)
 
     def test_other_bin_orthogonal(self):
-        fs = 50000
-        t = np.arange(1000) / fs
-        ts = TimeSeries(fs, np.cos(2 * np.pi * 500.0 * t))
-        assert abs(_bin_projection(ts, 750.0)) < 1e-12
+        plan = plan_frequencies(500, 50, 50000, None)
+        t = np.arange(plan.n_samples) / plan.sample_rate
+        ts = TimeSeries(plan.sample_rate, np.cos(2 * np.pi * 500.0 * t))
+        assert abs(_bin_projection(ts, plan, 750)) < 1e-12
 
     def test_noise_phase_statistics(self):
         # Monte Carlo vs sigma_phi = 1/(SNR * sqrt(N/2))
         rng = np.random.default_rng(7)
-        fs, f, n = 100000, 1000.0, 10000
+        plan = plan_frequencies(1000, 10, 100000, None)
+        fs, f, n = plan.sample_rate, 1000, plan.n_samples
         snr_amp = math.sqrt(2.0 * 10.0 ** 4.0)  # 40 dB power, unit tone
         sigma = 1.0 / snr_amp
         t = np.arange(n) / fs
@@ -48,98 +50,108 @@ class TestExtractPhasor:
         phases = []
         for _ in range(200):
             ts = TimeSeries(fs, clean + sigma * rng.standard_normal(n))
-            phases.append(cmath.phase(_bin_projection(ts, f)))
+            phases.append(cmath.phase(_bin_projection(ts, plan, f)))
         predicted = 1.0 / (snr_amp * math.sqrt(n / 2.0))
         assert np.std(phases) == pytest.approx(predicted, rel=0.2)
 
+    @pytest.mark.parametrize("plan", [
+        None,  # the shipped plan of configs/static.ini
+        plan_frequencies(6000, 1500, 600000, mains=None, window_periods=3),
+        plan_frequencies(6001, 1570),  # f_base 1 Hz: a 1 s window
+    ], ids=["shipped", "6000-1500-3periods", "6001-1570"])
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
-    def test_matches_direct_dft_on_static_channels(self, noisy):
-        # every channel at every line the estimator reads, against the
-        # direct-summation oracle; noise is the seed-0 stream
+    def test_matches_direct_dft_on_static_channels(self, noisy, plan):
+        # every channel at every line the estimator reads, through the
+        # plan's integer bin, against the direct-summation oracle; noise is
+        # the seed-0 stream
         cfg = shipped_scenario("static.ini")
+        if plan is not None:
+            cfg = replace(cfg, plan=plan)
         channels, ref_amp = cfg.clean_channels(cfg.program.t_start)
         if noisy:
             channels = apply_noise(channels, cfg.noise, ref_amp,
                                    np.random.SeedSequence(0))
         plan = cfg.plan
+        assert channels.plan == plan
         for ts in (channels.diff_background, channels.diff_sample,
                    channels.ref_a):
+            assert ts.samples.size == plan.n_samples
             for f in (plan.f_plus, plan.f_minus, plan.f_high, plan.f_low):
-                assert abs(_bin_projection(ts, f) - dft_line(ts, f)) \
+                assert abs(_bin_projection(ts, plan, f) - dft_line(ts, f)) \
                     <= 1e-13 * ts.peak
 
 
 def synthetic_channels(phi_s_by_freq, phi_o=0.0, coil_b=None,
-                       amplifier=None, fld=None):
-    """Composed-convention channel builder with per-line sample phases."""
-    fld = fld or FieldConfig(6000, 1570, 0.36e-3, 1.98e-3)
+                       amplifier=None):
+    """Composed-convention channel builder with per-line sample phases,
+    keyed by integer hertz."""
+    fld = FieldConfig(plan_frequencies(6000, 1570), 0.36e-3, 1.98e-3)
+    plan = fld.plan
     coil_a, default_b = measured_coils()
     coil_b = coil_b or default_b
     amplifier = amplifier or AmplifierModel.default()
-    grid = SamplingGrid(500000.0, 1)
     sample_lines = []
     for f, phi_s in phi_s_by_freq.items():
         gain_c, phase_c = coil_transfer(coil_a, 2 * math.pi * f, 300.0)
-        sample_lines.append((f, 1e-3 * gain_c, phi_s + phase_c))
+        sample_lines.append((plan.order(f), 1e-3 * gain_c, phi_s + phase_c))
     ft_a = feedthrough_lines(fld, coil_a, 300.0, phi_o)
     ft_b = feedthrough_lines(fld, coil_b, 300.0, phi_o)
     ref = feedthrough_lines(fld, coil_a, 300.0, phi_o,
-                            frequencies=sorted({fld.f_high, fld.f_low}
-                                               | set(phi_s_by_freq)))
+                            orders=sorted({n for n, _, _
+                                           in ft_a + sample_lines}))
     bg = _synthesize(_through_amplifier(_difference_lines(ft_a, ft_b),
-                                        amplifier), grid, fld.f_base)
-    sw = _synthesize(_through_amplifier(sample_lines, amplifier), grid,
-                     fld.f_base)
-    ds = TimeSeries(grid.sample_rate, bg.samples + sw.samples)
-    ref_ts = _synthesize(ref, grid, fld.f_base)
-    return MeasurementChannels(bg, ds, ref_ts, fld.f_base)
+                                        amplifier, plan), plan)
+    sw = _synthesize(_through_amplifier(sample_lines, amplifier, plan), plan)
+    ds = TimeSeries(plan.sample_rate, bg.samples + sw.samples)
+    ref_ts = _synthesize(ref, plan)
+    return MeasurementChannels(bg, ds, ref_ts, plan)
 
 
 class TestSamplePhase:
     def test_round_trip(self):
-        ch = synthetic_channels({9140.0: 0.7}, phi_o=0.15)
-        got = sample_phase(ch, AmplifierModel.default(), 9140.0, phi_o=0.15)
+        ch = synthetic_channels({9140: 0.7}, phi_o=0.15)
+        got = sample_phase(ch, AmplifierModel.default(), 9140, phi_o=0.15)
         assert got == pytest.approx(0.7, abs=1e-9)
 
     def test_coil_b_invariance(self):
         from mnpthermo import CoilParams
-        ch1 = synthetic_channels({9140.0: 0.7})
-        ch2 = synthetic_channels({9140.0: 0.7},
+        ch1 = synthetic_channels({9140: 0.7})
+        ch2 = synthetic_channels({9140: 0.7},
                                  coil_b=CoilParams(r0=50.0, l0=8e-3,
                                                    alpha_r=1e-3, t_ref=280.0,
                                                    coupling=5e-8))
         amp = AmplifierModel.default()
-        a = sample_phase(ch1, amp, 9140.0)
-        b = sample_phase(ch2, amp, 9140.0)
+        a = sample_phase(ch1, amp, 9140)
+        b = sample_phase(ch2, amp, 9140)
         assert abs(a - b) < 1e-12
 
     def test_phi_o_invariance(self):
         amp = AmplifierModel.default()
-        a = sample_phase(synthetic_channels({9140.0: 0.7}, phi_o=0.0),
-                         amp, 9140.0, phi_o=0.0)
-        b = sample_phase(synthetic_channels({9140.0: 0.7}, phi_o=0.2),
-                         amp, 9140.0, phi_o=0.2)
+        a = sample_phase(synthetic_channels({9140: 0.7}, phi_o=0.0),
+                         amp, 9140, phi_o=0.0)
+        b = sample_phase(synthetic_channels({9140: 0.7}, phi_o=0.2),
+                         amp, 9140, phi_o=0.2)
         assert abs(a - b) < 1e-12
 
     def test_reference_at_excitation_leaves_coil_curvature(self):
         coil_a, _ = measured_coils()
-        ch = synthetic_channels({9140.0: 0.7})
+        ch = synthetic_channels({9140: 0.7})
         amp = AmplifierModel.default()
-        got = sample_phase(ch, amp, 9140.0, ref_frequency=6000.0)
+        got = sample_phase(ch, amp, 9140, ref_frequency=6000)
         _, pa_line = coil_transfer(coil_a, 2 * math.pi * 9140, 300.0)
         _, pa_ref = coil_transfer(coil_a, 2 * math.pi * 6000, 300.0)
         assert got == pytest.approx(0.7 + (pa_line - pa_ref), abs=1e-9)
 
     def test_vanishing_sample_line(self):
-        ch = synthetic_channels({9140.0: 0.7})
+        ch = synthetic_channels({9140: 0.7})
         with pytest.raises(EstimationError):
-            sample_phase(ch, AmplifierModel.default(), 2860.0)
+            sample_phase(ch, AmplifierModel.default(), 2860)
 
     def test_vanishing_reference_line(self):
-        ch = synthetic_channels({9140.0: 0.7, 2860.0: 0.1})
+        ch = synthetic_channels({9140: 0.7, 2860: 0.1})
         with pytest.raises(EstimationError):
-            sample_phase(ch, AmplifierModel.default(), 2860.0,
-                         ref_frequency=4710.0)
+            sample_phase(ch, AmplifierModel.default(), 2860,
+                         ref_frequency=4710)
 
 
 class TestPhiHFromMixing:
@@ -256,7 +268,7 @@ class TestEstimateTemperature:
 
     def test_flagged_on_missing_lines(self):
         # channels with no mixing content yield an invalid estimate
-        ch = synthetic_channels({6000.0: 0.3})
+        ch = synthetic_channels({6000: 0.3})
         cal = CalibrationModel("one_point", 3.07e-3)
         est = estimate_temperature(ch, self._plan(), AmplifierModel.default(),
                                    cal, "mixing")
@@ -269,8 +281,8 @@ class TestEstimateTemperature:
         phi_h = math.atan(2 * math.pi * 6000 * tau)
         phi_l = math.atan(2 * math.pi * 1570 * tau)
         ch = synthetic_channels({
-            9140.0: wrap_phase(phi_h + 2 * phi_l - 1.5 * math.pi),
-            2860.0: wrap_phase(phi_h - 2 * phi_l - 1.5 * math.pi)})
+            9140: wrap_phase(phi_h + 2 * phi_l - 1.5 * math.pi),
+            2860: wrap_phase(phi_h - 2 * phi_l - 1.5 * math.pi)})
         cal = calibrate([(tau, 3.0719e-3 / tau)], "one_point")
         est = estimate_temperature(ch, self._plan(), AmplifierModel.default(),
                                    cal, "mixing")
@@ -278,7 +290,7 @@ class TestEstimateTemperature:
         assert est.tau_est == pytest.approx(tau, rel=1e-10)
 
     def test_unknown_mode(self):
-        ch = synthetic_channels({9140.0: 0.7})
+        ch = synthetic_channels({9140: 0.7})
         cal = CalibrationModel("one_point", 3.07e-3)
         with pytest.raises(ValueError):
             from mnpthermo import estimate_tau
@@ -286,7 +298,7 @@ class TestEstimateTemperature:
 
     def test_unknown_mode_raises_instead_of_flagging(self):
         # a caller error must not turn into a flagged row
-        ch = synthetic_channels({9140.0: 0.7})
+        ch = synthetic_channels({9140: 0.7})
         cal = CalibrationModel("one_point", 3.07e-3)
         with pytest.raises(ValueError, match="unknown mode"):
             estimate_temperature(ch, self._plan(), AmplifierModel.default(),
@@ -296,7 +308,7 @@ class TestEstimateTemperature:
         # phi_H = 0 gives tan 0 = 0: no positive tau, hence no temperature
         from mnpthermo import estimator
         monkeypatch.setattr(estimator, "phi_h_from_mixing", lambda p, m: 0.0)
-        ch = synthetic_channels({9140.0: 0.7, 2860.0: 0.1})
+        ch = synthetic_channels({9140: 0.7, 2860: 0.1})
         plan, amp = self._plan(), AmplifierModel.default()
         with pytest.raises(EstimationError, match="positive tau"):
             estimator.estimate_tau(ch, plan, amp, "mixing")

@@ -11,7 +11,7 @@ from mnpthermo.figures import (figure_error_vs_snr, figure_mixing_vs_single,
                                figure_spectrum_vs_field_ratio, generate_figure)
 from mnpthermo.magnetization import FieldConfig, default_n_max
 from mnpthermo.physics import debye_response
-from mnpthermo.scenarios import default_particle
+from mnpthermo.scenarios import default_particle, plan_frequencies
 from mnpthermo.signal_chain import relaxation_time
 from tests.oracles import doubled_coefficients
 
@@ -89,9 +89,10 @@ class TestSpectrumFigure:
         tau = relaxation_time(p, temperature)
         b_high = table.meta["b_high_t"]
         for ratio in sorted({r[0] for r in table.rows}):
-            fld = FieldConfig(6000, 1570, b_high, ratio * b_high)
+            fld = FieldConfig(plan_frequencies(6000, 1570), b_high,
+                              ratio * b_high)
             a, _ = doubled_coefficients(fld, p, temperature, default_n_max(fld))
-            freqs = np.arange(1, a.size + 1) * fld.f_base
+            freqs = np.arange(1, a.size + 1) * fld.plan.f_base
             atten, lag = debye_response(2.0 * np.pi * freqs, tau)
             z = a * atten * np.exp(-1j * lag)
             oracle = dict(zip(freqs, z / np.abs(z).max()))

@@ -1,19 +1,21 @@
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from mnpthermo import (FieldConfig, ParticleSpec, QuadratureError,
-                       SamplingGrid, TimeSeries, equilibrium_magnetization,
+                       TimeSeries, equilibrium_magnetization,
                        fourier_coefficients, langevin, magnetization_lines,
                        tau_brownian)
 from mnpthermo import figures, magnetization, signal_chain
 from mnpthermo.figures import FIGURE_IDS, generate_figure
-from mnpthermo.magnetization import default_n_max, synthesize_lines
-from mnpthermo.scenarios import load_scenario
+from mnpthermo.magnetization import (HarmonicSet, default_n_max,
+                                     synthesize_lines)
+from mnpthermo.scenarios import load_scenario, plan_frequencies
 from tests.oracles import (dft_line, doubled_coefficients, ode_magnetization,
                            relax_toward, torus_coefficients,
                            transient_periods)
@@ -24,11 +26,14 @@ K_B = 1.380649e-23
 
 # The fields of the shipped configs (static, cooling) and figures: fig1,
 # fig3, and fig8's tone ratios 1-4 (its ratio 5.5 is the config field).
+OPERATING_PLAN = plan_frequencies(6000, 1570)
 FIELDS = {
-    "config": FieldConfig(6000, 1570, 0.36e-3, 1.98e-3),
-    "fig1": FieldConfig(5000, 1000, 1.5e-3, 0.0),
-    "fig3": FieldConfig(6000, 1500, 0.36e-3, 1.98e-3),
-    **{f"fig8-ratio{r}": FieldConfig(6000, 1570, 0.36e-3, r * 0.36e-3)
+    "config": FieldConfig(OPERATING_PLAN, 0.36e-3, 1.98e-3),
+    "fig1": FieldConfig(plan_frequencies(5000, 1000, 200000, None, 5),
+                        1.5e-3, 0.0),
+    "fig3": FieldConfig(plan_frequencies(6000, 1500, 600000, None, 3),
+                        0.36e-3, 1.98e-3),
+    **{f"fig8-ratio{r}": FieldConfig(OPERATING_PLAN, 0.36e-3, r * 0.36e-3)
        for r in (1, 2, 3, 4)},
 }
 SWEEP_TEMPERATURES = (20.0, 30.0, 40.0, 50.0, 65.0, 80.0, 100.0, 125.0,
@@ -40,11 +45,11 @@ def coefficients(h):
     return dict(zip(h.frequencies, h.coefficients))
 
 
-def magnetization_series(h, tau, grid):
-    """Steady-state M(t) on the grid: the model's lines, one irfft."""
-    return TimeSeries(grid.sample_rate,
-                      synthesize_lines(*magnetization_lines(h, tau), grid,
-                                       h.f_base))
+def magnetization_series(h, tau):
+    """Steady-state M(t) over the window of h's plan: the model's lines,
+    one irfft."""
+    return TimeSeries(h.plan.sample_rate,
+                      synthesize_lines(*magnetization_lines(h, tau), h.plan))
 
 
 @pytest.fixture
@@ -71,7 +76,7 @@ def shipped_quadratures():
     for path in sorted((ROOT / "configs").glob("*.ini")):
         cfg = load_scenario(path)
         temperatures = cfg.program.temperature(cfg.program.times())
-        points |= {(cfg.field_config(), cfg.particle, float(t))
+        points |= {(cfg.field_config, cfg.particle, float(t))
                    for t in (*temperatures, *cfg.cal_temperatures)}
 
     def recorded(fld, p, temperature, *args):
@@ -92,31 +97,27 @@ def shipped_quadratures():
 
 class TestFieldConfig:
     def test_base_frequency(self, operating_field):
-        assert operating_field.f_base == 10.0
+        assert operating_field.plan.f_base == 10
 
-    def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            FieldConfig(6000.5, 1570, 1e-3, 1e-3)
-
-    def test_rejects_order(self):
-        with pytest.raises(ValueError):
-            FieldConfig(1000, 2000, 1e-3, 1e-3)
+    def test_rejects_negative_amplitude(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FieldConfig(OPERATING_PLAN, -1e-3, 1e-3)
 
     def test_field_evaluation(self, operating_field):
         assert operating_field.b_field(0.0) == pytest.approx(0.36e-3 + 1.98e-3)
         # half a base period later the low tone (odd multiple) has flipped
-        t = 0.5 / operating_field.f_base
+        t = 0.5 / operating_field.plan.f_base
         expected = -1.98e-3 * 1.0 + 0.36e-3 * 1.0
         assert operating_field.b_field(t) == pytest.approx(expected, abs=1e-12)
 
 
 class TestEquilibriumMagnetization:
-    def test_zero_field_zero(self, particle):
-        fld = FieldConfig(6000, 1570, 0.0, 0.0)
+    def test_zero_field_zero(self, particle, operating_field):
+        fld = replace(operating_field, b_high=0.0, b_low=0.0)
         assert equilibrium_magnetization(0.123, fld, particle, 300.0) == 0.0
 
-    def test_superposed_peak(self, particle):
-        fld = FieldConfig(6000, 1570, 1e-3, 1e-3)
+    def test_superposed_peak(self, particle, operating_field):
+        fld = replace(operating_field, b_high=1e-3, b_low=1e-3)
         xi_single = particle.m_s * 1e-3 / (K_B * 300.0)
         expected = particle.n_conc * particle.m_s * langevin(2 * xi_single)
         assert equilibrium_magnetization(0.0, fld, particle, 300.0) == \
@@ -132,7 +133,6 @@ class TestEquilibriumMagnetization:
 
     def test_odd_in_field(self, particle, operating_field):
         t = np.linspace(0.0, 0.1, 333)
-        neg = FieldConfig(6000, 1570, -0.0, 0.0)  # via field symmetry in time
         m_t = equilibrium_magnetization(t, operating_field, particle, 300.0)
         assert np.max(np.abs(m_t)) < particle.n_conc * particle.m_s
 
@@ -154,9 +154,9 @@ class TestFourierCoefficients:
         with pytest.raises(ValueError):
             fourier_coefficients(operating_field, particle, 300.0, n_max=100)
 
-    def test_linear_regime_ratio(self, particle):
+    def test_linear_regime_ratio(self, particle, operating_field):
         # linearized response: line ratio equals field ratio
-        fld = FieldConfig(6000, 1570, 2e-7, 6e-7)
+        fld = replace(operating_field, b_high=2e-7, b_low=6e-7)
         a = coefficients(fourier_coefficients(fld, particle, 300.0))
         ratio = a[6000] / a[1570]
         assert ratio == pytest.approx(2e-7 / 6e-7, rel=1e-4)
@@ -178,7 +178,7 @@ class TestFourierCoefficients:
     def test_single_tone_harmonic_ratio_against_quadrature(self, particle):
         # independent oracle: uniform-grid quadrature of the single-cosine
         # drive ((2/T) * integral = 2 * mean over one period)
-        fld = FieldConfig(5000, 1000, 1.5e-3, 0.0)
+        fld = FIELDS["fig1"]
         a = coefficients(fourier_coefficients(fld, particle, 300.0, n_max=25))
         t = np.arange(1 << 16) / (1 << 16) * 1e-3
         xi = particle.m_s * 1.5e-3 * np.cos(2 * np.pi * 5000 * t) / (K_B * 300.0)
@@ -199,12 +199,12 @@ class TestFourierCoefficients:
         h = fourier_coefficients(fld, particle, 300.0)
         peak = np.max(np.abs(h.coefficients))
         a = coefficients(h)
-        period = 1.0 / fld.f_base
+        period = 1.0 / fld.plan.f_base
         scale = particle.m_s / (K_B * 300.0)
 
         def m0(t):
-            xi = scale * (fld.b_high * math.cos(2 * math.pi * fld.f_high * t)
-                          + fld.b_low * math.cos(2 * math.pi * fld.f_low * t))
+            xi = scale * (fld.b_high * math.cos(2 * math.pi * 6000 * t)
+                          + fld.b_low * math.cos(2 * math.pi * 1570 * t))
             if abs(xi) < 1e-2:
                 lang = xi / 3 - xi ** 3 / 45 + 2 * xi ** 5 / 945
             else:
@@ -254,8 +254,10 @@ class TestFourierCoefficients:
 
     @pytest.mark.parametrize("fld, temperature", [
         *((FIELDS["config"], t) for t in (100.0, 300.0, 315.6, 400.0)),
-        (FieldConfig(6001, 1570, 0.36e-3, 1.98e-3), 315.6),  # f_base 1 Hz
-        (FieldConfig(4710, 1570, 0.36e-3, 1.98e-3), 315.6),  # f_H = 3 f_L
+        (FieldConfig(plan_frequencies(6001, 1570), 0.36e-3, 1.98e-3),
+         315.6),  # f_base 1 Hz
+        (FieldConfig(plan_frequencies(4710, 1570, 502400, None), 0.36e-3,
+                     1.98e-3), 315.6),  # f_H = 3 f_L
     ], ids=["100K", "300K", "315.6K", "400K", "f_base-1Hz", "f_H-3f_L"])
     def test_one_pass_matches_torus_oracle(self, particle, fld, temperature):
         # the torus folds every (n1, n2) with n1 f_H + n2 f_L = n f_base
@@ -269,7 +271,7 @@ class TestFourierCoefficients:
         # hence bit-identical outputs: at every shipped point the one pass
         # runs on the node count where the doubling loop stopped
         points = shipped_quadratures()
-        assert {fld.f_low for fld, _, _ in points} == {1000, 1500, 1570}
+        assert {fld.plan.f_low for fld, _, _ in points} == {1000, 1500, 1570}
         for fld, p, temperature in sorted(points, key=repr):
             m0_node_counts.clear()
             fourier_coefficients(fld, p, temperature)
@@ -288,15 +290,16 @@ class TestFourierCoefficients:
         fld = FIELDS[field]
         xi_max = (particle.m_s * (fld.b_high + fld.b_low)
                   / (K_B * temperature))
-        d = math.asinh(math.pi / xi_max) / (2 * math.pi * fld.f_high)
-        rate = 2 * math.pi * fld.f_base * d
+        plan = fld.plan
+        d = math.asinh(math.pi / xi_max) / (2 * math.pi * plan.f_high)
+        rate = 2 * math.pi * plan.f_base * d
         n = 1 << 18
-        t = np.arange(n) * ((1.0 / fld.f_base) / n)
+        t = np.arange(n) * ((1.0 / plan.f_base) / n)
         m0 = equilibrium_magnetization(t, fld, particle, temperature)
         a = np.abs((2.0 / n) * np.fft.rfft(m0)[1:n // 2].real)
         # upper envelope: the largest line in each run of f_high/f_base
         # indices, fitted between 1e-3 of the peak and the rounding floor
-        block = int(fld.f_high // fld.f_base)
+        block = plan.f_high // plan.f_base
         envelope = a[:a.size // block * block].reshape(-1, block).max(axis=1)
         centers = (np.arange(envelope.size) + 0.5) * block
         fit = (envelope < 1e-3 * a.max()) & (envelope > 1e-12 * a.max())
@@ -320,10 +323,11 @@ class TestFourierCoefficients:
 class TestSpectralMagnetization:
     def test_tiny_tau_matches_unfiltered_reconstruction(self, particle,
                                                         operating_field):
-        h = fourier_coefficients(operating_field, particle, 300.0)
-        grid = SamplingGrid(200000, 1)
-        out = magnetization_series(h, 1e-14, grid)
-        t = np.arange(grid.n_samples(10.0)) / grid.sample_rate
+        fld = replace(operating_field,
+                      plan=plan_frequencies(6000, 1570, 200000))
+        h = fourier_coefficients(fld, particle, 300.0)
+        out = magnetization_series(h, 1e-14)
+        t = np.arange(fld.plan.n_samples) / fld.plan.sample_rate
         recon = np.zeros_like(t)
         for n, a in zip(h.indices, h.coefficients):
             recon += a * np.cos(2 * np.pi * n * 10.0 * t)
@@ -332,12 +336,12 @@ class TestSpectralMagnetization:
 
     def test_single_line_corner(self):
         # one line with w*tau = 1: amplitude 1/sqrt(2), lag pi/4
-        from mnpthermo.magnetization import HarmonicSet
-        h = HarmonicSet(100.0, [1], [2.0])
+        plan = plan_frequencies(300, 100, 10000, mains=None,
+                                window_periods=2)  # f_base 100 Hz
+        h = HarmonicSet(plan, [1], [2.0])
         tau = 1.0 / (2 * np.pi * 100.0)
-        grid = SamplingGrid(10000, 2)
-        out = magnetization_series(h, tau, grid)
-        t = np.arange(grid.n_samples(100.0)) / grid.sample_rate
+        out = magnetization_series(h, tau)
+        t = np.arange(plan.n_samples) / plan.sample_rate
         expected = 2.0 / math.sqrt(2) * np.cos(2 * np.pi * 100 * t - np.pi / 4)
         np.testing.assert_allclose(out.samples, expected, atol=1e-12)
 
@@ -345,7 +349,7 @@ class TestSpectralMagnetization:
         # each line lags by arctan(n * w_base * tau) exactly
         tau = tau_brownian(30e-9, 1e-3, 300.0)
         h = fourier_coefficients(operating_field, particle, 300.0)
-        ts = magnetization_series(h, tau, SamplingGrid(500000, 1))
+        ts = magnetization_series(h, tau)
         a = coefficients(h)
         for f in (1570.0, 6000.0, 2860.0, 9140.0):
             phase = cmath.phase(dft_line(ts, f))
@@ -365,10 +369,10 @@ class TestOdeMagnetization:
 
     def test_quasi_static_limit(self, particle):
         # w*tau < 1e-4: output tracks the equilibrium response
-        fld = FieldConfig(60, 20, 0.36e-3, 1.98e-3)
+        fld = FieldConfig(plan_frequencies(60, 20, 6000, mains=None),
+                          0.36e-3, 1.98e-3)
         tau = 1e-4 / (2 * np.pi * 60)
-        grid = SamplingGrid(6000, 1)
-        out = ode_magnetization(fld, particle, 300.0, tau, grid)
+        out = ode_magnetization(fld, particle, 300.0, tau)
         m0 = equilibrium_magnetization(out.times, fld, particle, 300.0)
         peak = np.max(np.abs(m0))
         assert np.max(np.abs(out.samples - m0)) < 1e-3 * peak
@@ -381,7 +385,7 @@ class TestOdeMagnetization:
         tau = tau_brownian(30e-9, 1e-3, 300.0)
         with pytest.raises(ValueError):
             ode_magnetization(operating_field, particle, 300.0, tau,
-                              SamplingGrid(500000, 1), max_step=1e-3)
+                              max_step=1e-3)
 
     def test_drive_shape_validation(self):
         with pytest.raises(ValueError):
@@ -393,23 +397,21 @@ class TestCrossOracle:
         # coverage to f_high + 12 f_low keeps reconstruction truncation
         # well below the comparison tolerance
         tau = tau_brownian(30e-9, 1e-3, 300.0)
-        grid = SamplingGrid(500000, 1)
         n_max = int((6000 + 12 * 1570) / 10)
         h = fourier_coefficients(operating_field, particle, 300.0, n_max=n_max)
-        spec = magnetization_series(h, tau, grid)
-        ode = ode_magnetization(operating_field, particle, 300.0, tau, grid)
+        spec = magnetization_series(h, tau)
+        ode = ode_magnetization(operating_field, particle, 300.0, tau)
         rms = np.sqrt(np.mean((spec.samples - ode.samples) ** 2))
         rms /= np.sqrt(np.mean(ode.samples ** 2))
         assert rms < 1e-3
 
     def test_tightens_with_resolution(self, particle, operating_field):
         tau = tau_brownian(30e-9, 1e-3, 300.0)
-        grid = SamplingGrid(500000, 1)
         n_max = int((6000 + 14 * 1570) / 10)
         h = fourier_coefficients(operating_field, particle, 300.0, n_max=n_max)
-        spec = magnetization_series(h, tau, grid)
+        spec = magnetization_series(h, tau)
         step = min(tau / 40.0, 1.0 / (100.0 * 6000))
-        ode = ode_magnetization(operating_field, particle, 300.0, tau, grid,
+        ode = ode_magnetization(operating_field, particle, 300.0, tau,
                                 max_step=step)
         rms = np.sqrt(np.mean((spec.samples - ode.samples) ** 2))
         rms /= np.sqrt(np.mean(ode.samples ** 2))
@@ -438,17 +440,17 @@ class TestMagnetizationSpectrum:
     def test_operating_configuration_lines(self, particle, operating_field):
         tau = tau_brownian(30e-9, 1e-3, 300.0)
         h = fourier_coefficients(operating_field, particle, 300.0)
-        freqs, z = magnetization_lines(h, tau)
-        spec = dict(zip(freqs, np.abs(z) / np.abs(z).max()))
+        orders, z = magnetization_lines(h, tau)
+        spec = dict(zip(orders * h.plan.f_base, np.abs(z) / np.abs(z).max()))
         for f in (6000.0, 1570.0, 4710.0, 9140.0, 2860.0):
             assert 20 * math.log10(spec[f]) > -60.0
         for f in (7570.0, 4430.0):  # f_H +- f_L: selection-rule silent
             assert 20 * math.log10(max(spec.get(f, 0.0), 1e-300)) < -120.0
 
-    def test_ratio_grows_with_low_tone(self, particle):
+    def test_ratio_grows_with_low_tone(self, particle, operating_field):
         ratios = []
         for r in (1.0, 2.5, 4.0, 5.5):
-            fld = FieldConfig(6000, 1570, 0.36e-3, r * 0.36e-3)
+            fld = replace(operating_field, b_low=r * 0.36e-3)
             a = coefficients(fourier_coefficients(fld, particle, 300.0))
             ratios.append(abs(a[9140] / a[6000]))
         assert all(np.diff(ratios) > 0)

@@ -39,10 +39,16 @@ class TestPlanFrequencies:
         plan = plan_frequencies(6000, 1570, 500000, 50)
         assert [f.name for f in fields(plan)] == [
             "f_high", "f_low", "sample_rate", "window_periods"]
-        moved = replace(plan, f_low=1500.0)
+        moved = replace(plan, f_low=1500)
         derived = (moved.f_base, moved.f_plus, moved.f_minus)
-        assert derived == (1500.0, 9000.0, 3000.0)
-        assert all(type(f) is float for f in derived)
+        assert derived == (1500, 9000, 3000)
+        assert all(type(f) is int for f in derived)
+
+    def test_window_and_bins_are_integers(self):
+        plan = plan_frequencies(6000, 1500, 600000, None, window_periods=3)
+        assert (plan.n_samples, plan.order(plan.f_plus)) == (1200, 6)
+        assert plan.bin(plan.order(plan.f_plus)) == 18
+        assert type(plan.n_samples) is int
 
     def test_mains_collision_rejected(self):
         with pytest.raises(PlanRejection) as info:
@@ -72,6 +78,10 @@ class TestPlanFrequencies:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             plan_frequencies(6000.5, 1570, 500000, 50)
+
+    def test_tone_order_rejected(self):
+        with pytest.raises(ValueError, match="need f_high > f_low"):
+            plan_frequencies(1000, 2000, 500000, 50)
 
     def test_mains_disable(self):
         plan = plan_frequencies(6000, 1500, 600000, None)

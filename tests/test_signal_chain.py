@@ -8,8 +8,8 @@ from mnpthermo import (AmplifierModel, CoilParams, MeasurementChannels,
                        NoiseModel, SignalChainConfig, TimeSeries, coil_transfer,
                        simulate_clean_channels)
 from mnpthermo.errors import ConfigError
-from mnpthermo.magnetization import (SamplingGrid, fourier_coefficients,
-                                     magnetization_lines)
+from mnpthermo.magnetization import fourier_coefficients, magnetization_lines
+from mnpthermo.scenarios import plan_frequencies
 from mnpthermo.signal_chain import (FARADAY_PHASE_OFFSET, _synthesize,
                                     apply_noise, relaxation_time,
                                     sample_voltage_lines)
@@ -17,9 +17,8 @@ from tests.oracles import dft_line
 from tests.test_scenarios import shipped_scenario
 
 
-def make_chain(coil_a, coil_b, phi_o=0.0, phase_model="debye", window=1):
-    return SignalChainConfig(coil_a, coil_b, AmplifierModel.default(),
-                             SamplingGrid(500000.0, window), phi_o,
+def make_chain(coil_a, coil_b, phi_o=0.0, phase_model="debye"):
+    return SignalChainConfig(coil_a, coil_b, AmplifierModel.default(), phi_o,
                              phase_model)
 
 
@@ -99,18 +98,20 @@ class TestAmplifierModel:
 
 
 class TestAddNoise:
-    def _tone_channels(self, n=100000):
-        t = np.arange(n) / 100000.0
-        ts = TimeSeries(100000.0, np.cos(2 * np.pi * 1000 * t))
-        return MeasurementChannels(ts, ts, ts, 1000.0)
+    def _tone_channels(self, periods):
+        # periods of 10 ms at 100 kHz
+        plan = plan_frequencies(1000, 100, 100000, None, periods)
+        t = np.arange(plan.n_samples) / plan.sample_rate
+        ts = TimeSeries(plan.sample_rate, np.cos(2 * np.pi * 1000 * t))
+        return MeasurementChannels(ts, ts, ts, plan)
 
     def test_infinite_snr_unchanged(self):
-        ch = self._tone_channels(1000)
+        ch = self._tone_channels(1)
         assert apply_noise(ch, NoiseModel(math.inf), 1.0,
                            np.random.SeedSequence(0)) is ch
 
     def test_deterministic_per_seed(self):
-        ch = self._tone_channels(1000)
+        ch = self._tone_channels(1)
         a, b, c = (apply_noise(ch, NoiseModel(40.0), 1.0,
                                np.random.SeedSequence(seed))
                    for seed in (123, 123, 124))
@@ -121,7 +122,7 @@ class TestAddNoise:
                                       getattr(c, name).samples)
 
     def test_variance_at_40_db(self):
-        ch = self._tone_channels(1000000)
+        ch = self._tone_channels(1000)
         noisy = apply_noise(ch, NoiseModel(40.0), reference_amplitude=2.0,
                             seed_sequence=np.random.SeedSequence(7))
         signal_power = 0.5 * 2.0**2  # of the reference line, not the tone
@@ -140,28 +141,30 @@ class TestSynthesize:
     def test_matches_cosine_sum(self):
         # one irfft of bin-placed phasors against the explicit line sum
         rng = np.random.default_rng(11)
-        grid = SamplingGrid(500000.0, 1)
-        freqs = 10.0 * rng.choice(np.arange(1, 2000), 60, replace=False)
-        lines = list(zip(freqs, rng.uniform(0.0, 2.0, 60),
+        plan = plan_frequencies(6000, 1570)  # f_base 10 Hz at 500 kHz
+        orders = rng.choice(np.arange(1, 2000), 60, replace=False)
+        lines = list(zip(orders, rng.uniform(0.0, 2.0, 60),
                          rng.uniform(-np.pi, np.pi, 60)))
-        t = np.arange(grid.n_samples(10.0)) / grid.sample_rate
-        expected = sum(a * np.cos(2 * np.pi * f * t + ph) for f, a, ph in lines)
-        got = _synthesize(lines, grid, 10.0).samples
+        t = np.arange(plan.n_samples) / plan.sample_rate
+        expected = sum(a * np.cos(2 * np.pi * 10 * n * t + ph)
+                       for n, a, ph in lines)
+        got = _synthesize(lines, plan).samples
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_window_periods_and_empty(self):
-        grid = SamplingGrid(1000.0, 3)
-        t = np.arange(grid.n_samples(10.0)) / grid.sample_rate
-        got = _synthesize([(30.0, 1.5, 0.2)], grid, 10.0).samples
+        plan = plan_frequencies(30, 10, 1000, None, window_periods=3)
+        t = np.arange(plan.n_samples) / plan.sample_rate
+        got = _synthesize([(3, 1.5, 0.2)], plan).samples  # 30 Hz
         np.testing.assert_allclose(got, 1.5 * np.cos(2 * np.pi * 30 * t + 0.2),
                                    atol=1e-14)
-        assert not np.any(_synthesize([], grid, 10.0).samples)
+        assert not np.any(_synthesize([], plan).samples)
 
-    @pytest.mark.parametrize("f", [15.0, 500.0, 700.0])
-    def test_rejects_off_bin_and_nyquist(self, f):
-        # 15 Hz: between bins of the 10 Hz window; 500 Hz: Nyquist
+    @pytest.mark.parametrize("order", [0, 50, 70])
+    def test_rejects_dc_and_nyquist(self, order):
+        # 10 Hz base orders at 1 kHz: 0 is DC, 50 (500 Hz) is Nyquist
         with pytest.raises(ValueError):
-            _synthesize([(f, 1.0, 0.0)], SamplingGrid(1000.0, 1), 10.0)
+            _synthesize([(order, 1.0, 0.0)],
+                        plan_frequencies(30, 10, 1000, None))
 
 
 class TestSimulateChannels:
@@ -193,9 +196,10 @@ class TestSimulateChannels:
             operating_field, fourier_coefficients(operating_field, particle,
                                                   300.0),
             tau, coil_pair[0], 300.0)
-        for f, amp, ph in _through_amplifier(lines, chain.amplifier):
-            expected[f] = (amp, ph)
-        for f in (9140.0, 2860.0, 6000.0):
+        for n, amp, ph in _through_amplifier(lines, chain.amplifier,
+                                             operating_field.plan):
+            expected[n * 10] = (amp, ph)
+        for f in (9140, 2860, 6000):
             zs = dft_line(ch.diff_sample, f)
             zb = dft_line(ch.diff_background, f)
             amp, ph = expected[f]
@@ -268,26 +272,17 @@ class TestSimulateChannels:
         # Faraday derivative and coil A: coupling * w * gain * conj(z) *
         # exp(j(FARADAY_PHASE_OFFSET + coil phase)) for each line z of M
         cfg = shipped_scenario("static.ini")
-        fld, p, t_sample, t_amb = cfg.field_config(), cfg.particle, 315.6, 300.0
+        fld, p, t_sample, t_amb = cfg.field_config, cfg.particle, 315.6, 300.0
         tau = relaxation_time(p, t_sample)
         h = fourier_coefficients(fld, p, t_sample)
         lines = sample_voltage_lines(fld, h, tau, cfg.coil_a, t_amb)
-        freqs, z = magnetization_lines(h, tau)
-        assert len(lines) == freqs.size == 73
-        for (f, amp, ph), f_m, z_m in zip(lines, freqs, z):
-            assert f == f_m
-            omega = 2.0 * math.pi * f
+        orders, z = magnetization_lines(h, tau)
+        assert len(lines) == orders.size == 73
+        for (n, amp, ph), n_m, z_m in zip(lines, orders, z):
+            assert n == n_m
+            omega = 2.0 * math.pi * n * fld.plan.f_base
             gain, phase = coil_transfer(cfg.coil_a, omega, t_amb)
             expected = (cfg.coil_a.coupling * omega * gain * np.conj(z_m)
                         * np.exp(1j * (FARADAY_PHASE_OFFSET + phase)))
             assert abs(amp * np.exp(1j * ph) - expected) \
                 <= 1e-13 * abs(expected)
-
-    def test_window_mismatch_rejected(self, particle, operating_field, coil_pair):
-        from mnpthermo import MeasurementChannels
-        chain = make_chain(*coil_pair)
-        ch = noisy_channels(operating_field, particle, 300.0, chain, 300.0)
-        bad = TimeSeries(250000.0, ch.ref_a.samples)
-        with pytest.raises(ConfigError):
-            MeasurementChannels(ch.diff_background, ch.diff_sample, bad,
-                                ch.f_base)
